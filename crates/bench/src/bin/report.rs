@@ -16,9 +16,8 @@
 //! wall-clock, events/sec, incremental-vs-full solver speedup — and writes
 //! `BENCH_sim.json`; `--quick` runs one repetition per case, `--baseline F`
 //! exits nonzero if any grid's events/sec falls below the floors in `F`,
-//! `--no-oracle` skips the reference-solver pass (CI smoke runs that
-//! already pay for it elsewhere), and `--sim-jobs N` sets the worker count
-//! of the windowed-engine `par_*` cells (default 4, minimum 2).
+//! and `--no-oracle` skips the reference-solver pass (CI smoke runs that
+//! already pay for it elsewhere).
 //! `perf` is excluded from the default section set so default output stays
 //! byte-identical across runs and `--jobs` values (wall-clock never is).
 //! `watch` (opt-in) is the perf-regression watchdog: it re-reads the
@@ -70,9 +69,6 @@ static BASELINE: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::On
 /// `--no-oracle`: skip the perf section's reference-solver pass.
 static NO_ORACLE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
 
-/// `--sim-jobs N`: worker count for the perf section's `par_*` cells.
-static SIM_JOBS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-
 /// `--bench-json PATH`: where the perf section writes its artifact.
 static BENCH_JSON: std::sync::OnceLock<std::path::PathBuf> = std::sync::OnceLock::new();
 
@@ -114,7 +110,6 @@ fn main() {
     let mut quick = false;
     let mut baseline = None;
     let mut no_oracle = false;
-    let mut sim_jobs = 4usize;
     let mut bench_json = std::path::PathBuf::from("BENCH_sim.json");
     let mut trace_out = None;
     let mut watch_json = None;
@@ -125,15 +120,6 @@ fn main() {
             quick = true;
         } else if a == "--no-oracle" {
             no_oracle = true;
-        } else if a == "--sim-jobs" {
-            let n = it.next().unwrap_or_else(|| {
-                eprintln!("--sim-jobs needs a worker count >= 2 for the par_* cells");
-                std::process::exit(2);
-            });
-            sim_jobs = n.parse().unwrap_or_else(|_| {
-                eprintln!("--sim-jobs: not a number: {n}");
-                std::process::exit(2);
-            });
         } else if a == "--baseline" {
             let f = it.next().unwrap_or_else(|| {
                 eprintln!("--baseline needs a floors file (name min_events_per_sec lines)");
@@ -197,7 +183,6 @@ fn main() {
     QUICK.set(quick).expect("set once");
     BASELINE.set(baseline).expect("set once");
     NO_ORACLE.set(no_oracle).expect("set once");
-    SIM_JOBS.set(sim_jobs).expect("set once");
     BENCH_JSON.set(bench_json).expect("set once");
     TRACE_OUT.set(trace_out).expect("set once");
     WATCH_JSON.set(watch_json).expect("set once");
@@ -744,13 +729,12 @@ fn perf() {
         "Simulator performance — host cost of the hot loop (opt-in)",
         "not in the paper; measures the simulator itself. Small grids: \
          incremental solver vs the --rates full oracle. Large grids \
-         (1024-16384 nodes): hierarchical solver vs the incremental oracle",
+         (1024-16384 nodes): incremental solver, no oracle pass",
     );
     let quick = *QUICK.get().unwrap_or(&false);
     let reps = if quick { 1 } else { 3 };
     let oracle = !*NO_ORACLE.get().unwrap_or(&false);
-    let sim_jobs = *SIM_JOBS.get().unwrap_or(&4);
-    let measurements = p::run_perf_suite_opts(reps, oracle, sim_jobs);
+    let measurements = p::run_perf_suite_opts(reps, oracle);
     println!(
         "{:>8} {:>6} {:>13} {:>11} {:>10} {:>12} {:>11} {:>10} {:>9}",
         "grid",
@@ -776,18 +760,6 @@ fn perf() {
             m.flows_peak,
             m.speedup_vs_oracle
                 .map_or("n/a".to_string(), |s| format!("{s:.2}x")),
-        );
-    }
-    for m in measurements.iter().filter(|m| m.sim_jobs > 1) {
-        println!(
-            "{:>8}: windowed engine, {} workers, {} windows, {} worker events, \
-             merge {:.1} ms, speedup vs serial {:.2}x",
-            m.name,
-            m.sim_jobs,
-            m.windows,
-            m.worker_events_total,
-            m.merge_secs * 1e3,
-            m.speedup_vs_serial
         );
     }
     let json_path = BENCH_JSON.get().expect("set in main");

@@ -153,6 +153,27 @@ fn malformed_lines_get_error_responses_not_panics() {
     }
 }
 
+/// A named workload asked for more nodes than its mesh has vertices is an
+/// `ok:false` answer, and the service goes on to answer the next line.
+#[test]
+fn oversized_named_workload_is_an_error_not_a_panic() {
+    let service = Service::new(ServiceConfig::default());
+    let trace = "{\"id\":1,\"query\":{\"kind\":\"workload\",\"name\":\"euler545\",\"n\":1024}}\n\
+                 {\"id\":2,\"query\":{\"kind\":\"workload\",\"name\":\"euler545\",\"n\":32}}\n";
+    let result = replay(&service, trace, 1, None);
+    assert_eq!(result.responses.len(), 2, "{:?}", result.responses);
+    assert!(
+        result.responses[0].contains("\"ok\":false") && result.responses[0].contains("545"),
+        "{}",
+        result.responses[0]
+    );
+    assert!(
+        result.responses[1].contains("\"ok\":true"),
+        "{}",
+        result.responses[1]
+    );
+}
+
 /// Name alphabet for generated strings — includes every character the
 /// JSON renderer must escape.
 const NAME_CHARS: &[char] = &[
