@@ -12,19 +12,19 @@
 //! `model` scores the `cm5-model` advisor's predicted winners against the
 //! simulated winners on every grid; `--gate F` makes the binary exit
 //! nonzero if Fig 5 + Table 11 agreement falls below `F` (CI hook).
-//! `perf` (opt-in, like `beyond`) measures the *simulator's* host cost —
-//! wall-clock, events/sec, incremental-vs-full solver speedup — and writes
-//! `BENCH_sim.json`; `--quick` runs one repetition per case, `--baseline F`
-//! exits nonzero if any grid's events/sec falls below the floors in `F`,
-//! and `--no-oracle` skips the reference-solver pass (CI smoke runs that
-//! already pay for it elsewhere).
+//! `perf` (opt-in, like `beyond`) measures the *host* cost — wall-clock,
+//! events/sec and incremental-vs-full solver speedup of the simulator
+//! cells, plus queries/sec of the scheduling service replaying the recorded
+//! 512-query mixed trace (`serve_replay`) — and writes `BENCH_sim.json`
+//! (`--bench-json PATH`); `--quick` runs one repetition per case and
+//! `--no-oracle` skips the reference-solver pass.
 //! `perf` is excluded from the default section set so default output stays
 //! byte-identical across runs and `--jobs` values (wall-clock never is).
-//! `watch` (opt-in) is the perf-regression watchdog: it re-reads the
-//! written `BENCH_sim.json` (including the `serve_replay` cell merged by
-//! `cm5 serve --replay --bench-json`) against the `--baseline` floors,
-//! writes a `cm5-watch/1` verdict (`--watch-json PATH`), and exits nonzero
-//! on any miss — including a baseline cell missing from the artifact.
+//! `watch` (opt-in) is the perf gate: it re-reads `BENCH_sim.json` against
+//! the `--baseline` floors, writes a `cm5-watch/1` verdict
+//! (`--watch-json PATH`), and exits nonzero on any miss — including a
+//! baseline cell missing from the artifact. `report perf watch` measures
+//! and gates in one run.
 //! `--prom-lint PATH` runs the offline Prometheus-exposition linter over a
 //! scraped `GET /metrics` body.
 //! `certify` (opt-in) cross-checks every Fig 5/6–8/10/11 grid point
@@ -63,7 +63,7 @@ static GATE: std::sync::OnceLock<Option<f64>> = std::sync::OnceLock::new();
 /// `--quick`: one timed repetition per perf case instead of three.
 static QUICK: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
 
-/// `--baseline F`: events/sec floors the perf section must clear.
+/// `--baseline F`: events/sec floors the `watch` section gates on.
 static BASELINE: std::sync::OnceLock<Option<std::path::PathBuf>> = std::sync::OnceLock::new();
 
 /// `--no-oracle`: skip the perf section's reference-solver pass.
@@ -261,11 +261,10 @@ fn run_prom_lint(path: &std::path::Path) {
 }
 
 /// The `watch` section: the perf-regression watchdog. Reads the
-/// `BENCH_sim.json` artifact (`--bench-json`, including the merged
-/// `serve_replay` cell) and the `--baseline` floors, prints the per-cell
-/// verdict, optionally writes the `cm5-watch/1` document (`--watch-json`),
-/// and exits nonzero if any floor is missed or any baseline cell is
-/// missing from the artifact.
+/// `BENCH_sim.json` artifact `report perf` wrote (`--bench-json`) and the
+/// `--baseline` floors, prints the per-cell verdict, optionally writes the
+/// `cm5-watch/1` document (`--watch-json`), and exits nonzero if any floor
+/// is missed or any baseline cell is missing from the artifact.
 fn watch() {
     use cm5_bench::watch as w;
     header(
@@ -721,22 +720,26 @@ fn beyond() {
     );
 }
 
-/// Simulator performance (`report perf`): host-side cost of the hot loop
-/// and the incremental solver's speedup over the full-recompute oracle.
+/// Host performance (`report perf`): the simulator cells' hot-loop cost and
+/// the incremental solver's speedup over the full-recompute oracle, then
+/// the `serve_replay` cell. Writes the `BENCH_sim.json` artifact that
+/// `report watch` gates.
 fn perf() {
     use cm5_bench::perf as p;
     header(
-        "Simulator performance — host cost of the hot loop (opt-in)",
-        "not in the paper; measures the simulator itself. Small grids: \
-         incremental solver vs the --rates full oracle. Large grids \
-         (1024-16384 nodes): incremental solver, no oracle pass",
+        "Host performance — simulator hot loop and service replay (opt-in)",
+        "not in the paper; measures this implementation's host cost. Small \
+         grids: incremental solver vs the --rates full oracle. Large grids \
+         (1024-16384 nodes): incremental solver, no oracle pass. \
+         serve_replay: the 512-query mixed trace on 4 workers, events = queries",
     );
     let quick = *QUICK.get().unwrap_or(&false);
     let reps = if quick { 1 } else { 3 };
     let oracle = !*NO_ORACLE.get().unwrap_or(&false);
-    let measurements = p::run_perf_suite_opts(reps, oracle);
+    let mut measurements = p::run_perf_suite_opts(reps, oracle);
+    measurements.push(p::measure_serve(&p::serve_trace()));
     println!(
-        "{:>8} {:>6} {:>13} {:>11} {:>10} {:>12} {:>11} {:>10} {:>9}",
+        "{:>12} {:>6} {:>13} {:>11} {:>10} {:>12} {:>11} {:>10} {:>9}",
         "grid",
         "nodes",
         "solver",
@@ -749,7 +752,7 @@ fn perf() {
     );
     for m in &measurements {
         println!(
-            "{:>8} {:>6} {:>13} {:>11.3} {:>10} {:>12.0} {:>11} {:>10} {:>9}",
+            "{:>12} {:>6} {:>13} {:>11.3} {:>10} {:>12.0} {:>11} {:>10} {:>9}",
             m.name,
             m.n,
             m.solver,
@@ -768,25 +771,6 @@ fn perf() {
         Ok(()) => println!("\nwrote {}", json_path.display()),
         Err(e) => {
             eprintln!("could not write {}: {e}", json_path.display());
-            std::process::exit(1);
-        }
-    }
-    if let Some(Some(path)) = BASELINE.get().map(|b| b.as_ref()) {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("could not read baseline {}: {e}", path.display());
-            std::process::exit(2);
-        });
-        let floors = p::parse_baseline(&text);
-        let failures = p::check_baseline(&measurements, &floors);
-        if failures.is_empty() {
-            println!(
-                "perf gate passed: every grid above its events/sec floor ({})",
-                path.display()
-            );
-        } else {
-            for (name, got, floor) in &failures {
-                eprintln!("perf gate FAILED: {name}: {got:.0} events/sec < floor {floor:.0}");
-            }
             std::process::exit(1);
         }
     }

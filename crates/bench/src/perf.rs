@@ -9,15 +9,20 @@
 //! Every case runs on the incremental solver; the small-grid cases also run
 //! once under the full-recompute oracle so the measured speedup is part of
 //! the artifact (the large cells skip it: the oracle is quadratic there).
+//! One more cell, `serve_replay`, times the scheduling service end to end
+//! on the recorded 512-query mixed trace ([`measure_serve`]).
 //!
-//! Used by `report perf` (and `cm5 bench`), which serialise the results to
-//! `BENCH_sim.json`, and by the `sim_hot_loop` Criterion bench.
+//! `report perf` is the only producer of the `BENCH_sim.json` artifact and
+//! `report watch` the only gate over it (see [`crate::watch`]).
 
 use std::time::Instant;
 
 use cm5_core::prelude::*;
+use cm5_serve::{Service, ServiceConfig};
 use cm5_sim::{MachineParams, Op, OpProgram, RateSolver, SimReport, Simulation};
 use cm5_workloads::synthetic::synthetic_pattern_exact;
+
+use crate::querygen::{generate_trace, TraceMix};
 
 /// One workload of the performance grid.
 pub struct PerfCase {
@@ -199,12 +204,6 @@ fn run_with(case: &PerfCase, solver: RateSolver) -> SimReport {
         .unwrap_or_else(|e| panic!("perf case {}: {e}", case.name))
 }
 
-/// Run a slice of the grid with the oracle pass enabled; see
-/// [`run_cases_opts`].
-pub fn run_cases(cases: &[PerfCase], reps: u32) -> Vec<PerfMeasurement> {
-    run_cases_opts(cases, reps, true)
-}
-
 /// Run a slice of the grid. `reps` primary-solver repetitions per case (the
 /// best run is reported, damping scheduler noise); with `oracle` set, a
 /// case's oracle solver (if it has one) runs `max(1, reps / 2)` times and
@@ -276,19 +275,50 @@ pub fn run_cases_opts(cases: &[PerfCase], reps: u32, oracle: bool) -> Vec<PerfMe
         .collect()
 }
 
-/// Run the whole suite: the standard grid at `reps` repetitions, then the
-/// large-N grid at one repetition each (a 16384-node cell is its own
-/// noise damping — the run is long enough to average out the scheduler).
-pub fn run_perf_suite(reps: u32) -> Vec<PerfMeasurement> {
-    run_perf_suite_opts(reps, true)
-}
-
-/// [`run_perf_suite`] with the oracle pass configurable
-/// (`report perf --no-oracle`).
+/// Run the whole simulator suite: the standard grid at `reps` repetitions,
+/// then the large-N grid at one repetition each (a 16384-node cell is its
+/// own noise damping — the run is long enough to average out the
+/// scheduler). `oracle: false` is `report perf --no-oracle`.
 pub fn run_perf_suite_opts(reps: u32, oracle: bool) -> Vec<PerfMeasurement> {
     let mut ms = run_cases_opts(&perf_cases(), reps, oracle);
     ms.extend(run_cases_opts(&perf_cases_large(), 1, oracle));
     ms
+}
+
+/// Worker threads the `serve_replay` cell replays on: the configuration its
+/// `ci/perf_baseline.txt` floor was set for.
+const SERVE_JOBS: usize = 4;
+
+/// The `serve_replay` cell's input: the recorded mixed trace (512 queries,
+/// seed 1) — the same lines `cm5 serve --record --mix mixed` writes.
+pub fn serve_trace() -> String {
+    generate_trace(TraceMix::Mixed, 512, 1)
+}
+
+/// Replay `trace` once through a fresh default [`Service`] on
+/// `SERVE_JOBS` (4) workers and report it as the `serve_replay` cell:
+/// `events` counts requests, so `events_per_sec` is queries/sec — the
+/// figure its baseline floor is written in.
+pub fn measure_serve(trace: &str) -> PerfMeasurement {
+    let service = Service::new(ServiceConfig::default());
+    let result = cm5_serve::replay(&service, trace, SERVE_JOBS, None);
+    let wall = result.wall_secs;
+    PerfMeasurement {
+        name: "serve_replay".to_string(),
+        n: 0,
+        solver: "service",
+        reps: 1,
+        wall_secs: wall,
+        events: result.requests as u64,
+        events_per_sec: result.qps(),
+        cells_per_sec: if wall > 0.0 { 1.0 / wall } else { 0.0 },
+        recomputes: 0,
+        flows: 0,
+        flows_peak: 0,
+        oracle_wall_secs: None,
+        speedup_vs_oracle: None,
+        makespan_ms: 0.0,
+    }
 }
 
 /// Serialise measurements as the `BENCH_sim.json` artifact (hand-rolled —
@@ -351,24 +381,6 @@ pub fn parse_baseline(text: &str) -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Check measurements against a baseline. Returns the list of failures
-/// (`name, got, floor`); empty means the gate passes. Unknown baseline
-/// names are ignored (a renamed grid fails open, loudly, in CI review).
-pub fn check_baseline(
-    measurements: &[PerfMeasurement],
-    baseline: &[(String, f64)],
-) -> Vec<(String, f64, f64)> {
-    let mut failures = Vec::new();
-    for (name, floor) in baseline {
-        if let Some(m) = measurements.iter().find(|m| &m.name == name) {
-            if m.events_per_sec < *floor {
-                failures.push((name.clone(), m.events_per_sec, *floor));
-            }
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,7 +389,7 @@ mod tests {
     fn suite_runs_and_serialises() {
         // The small grid only: the large cells are release-build territory
         // and are covered by `report perf` in CI plus tests/scaling_smoke.rs.
-        let ms = run_cases(&perf_cases(), 1);
+        let ms = run_cases_opts(&perf_cases(), 1, true);
         assert_eq!(ms.len(), 5);
         for m in &ms {
             assert!(m.events > 0, "{}", m.name);
@@ -439,27 +451,31 @@ mod tests {
     }
 
     #[test]
-    fn baseline_parses_and_gates() {
+    fn baseline_parses() {
+        // Gating lives in `watch`, whose tests cover both directions.
         let base = parse_baseline("# comment\nrex_64 1000.0\n\npex_64  2e3 # trailing\n");
-        assert_eq!(base.len(), 2);
-        let ms = vec![PerfMeasurement {
-            name: "rex_64".into(),
-            n: 64,
-            solver: "incremental",
-            reps: 1,
-            wall_secs: 1.0,
-            events: 500,
-            events_per_sec: 500.0,
-            cells_per_sec: 1.0,
-            recomputes: 1,
-            flows: 1,
-            flows_peak: 1,
-            oracle_wall_secs: Some(2.0),
-            speedup_vs_oracle: Some(2.0),
-            makespan_ms: 1.0,
-        }];
-        let failures = check_baseline(&ms, &base);
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].0, "rex_64");
+        assert_eq!(
+            base,
+            vec![
+                ("rex_64".to_string(), 1000.0),
+                ("pex_64".to_string(), 2000.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn serve_cell_feeds_the_watchdog() {
+        // A short advise-only trace: the 512-query mixed trace is
+        // release-build territory.
+        let cell = measure_serve(&generate_trace(TraceMix::AdviseOnly, 20, 1));
+        assert_eq!(cell.name, "serve_replay");
+        assert_eq!(cell.events, 20);
+        assert!(cell.events_per_sec > 0.0);
+        let mut ms = run_cases_opts(&perf_cases()[..1], 1, false);
+        ms.push(cell);
+        let verdict = crate::watch::watch(&to_json(&ms, true), "rex_64 1\nserve_replay 1\n")
+            .expect("the suite's own artifact parses");
+        assert!(verdict.pass, "{verdict:?}");
+        assert_eq!(verdict.checks.len(), 2);
     }
 }

@@ -1,21 +1,21 @@
-//! Performance-regression watchdog: compare a `BENCH_sim.json` artifact
-//! (schema `cm5-bench-sim-perf/4`, including the merged `serve_replay`
-//! cell) against the floors in `ci/perf_baseline.txt` and emit a
-//! `cm5-watch/1` verdict that CI gates on.
+//! Performance-regression watchdog: compare the `BENCH_sim.json` artifact
+//! `report perf` writes (schema `cm5-bench-sim-perf/4`, simulator cells
+//! plus the `serve_replay` cell) against the floors in
+//! `ci/perf_baseline.txt` and emit a `cm5-watch/1` verdict. It is the only
+//! perf gate; CI runs both as `report perf watch`.
 //!
 //! The check is intentionally strict in both directions:
 //!
 //! * a grid cell **below its floor** fails the verdict (the classic
 //!   regression), and
 //! * a baseline name **missing from the artifact** also fails it — a
-//!   silently dropped cell is exactly the kind of regression a watchdog
-//!   exists to catch (`check_baseline`'s fail-open behaviour is for
-//!   interactive runs; the watchdog fails closed).
+//!   silently dropped or renamed cell is exactly the kind of regression a
+//!   watchdog exists to catch.
 //!
 //! Wall-clock quarantine: the verdict JSON contains the measured
 //! throughputs, so the *document* varies run to run — it is a timing
-//! artifact like `cm5-serve-timing/1`, never diffed bytewise in CI. Only
-//! the boolean verdict gates.
+//! artifact like the service's live metrics snapshot, never diffed
+//! bytewise in CI. Only the boolean verdict gates.
 
 use cm5_serve::Json;
 
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn missing_cell_fails_closed() {
-        // `check_baseline` ignores unknown names; the watchdog must not.
+        // A baseline cell absent from the artifact is a failure, not a skip.
         let bench = bench_doc(&[("rex_64", 2_000_000.0)]);
         let v = watch(&bench, "rex_64 1750000\nserve_replay 150\n").unwrap();
         assert!(!v.pass);

@@ -6,7 +6,6 @@
 //! cm5 irregular --alg gs  -n 32 --density 0.25 --bytes 256 [--seed 7] [--pattern paper] [--render]
 //! cm5 workload  --name euler2k [-n 32] [--alg gs]
 //! cm5 sweep     [--grid exchange|irregular] [--jobs N]
-//! cm5 bench     [--quick] [--json PATH]
 //! ```
 //!
 //! Every command prints the schedule's shape metrics and the simulated run
@@ -498,52 +497,6 @@ fn cmd_sweep(args: &Args) -> Result<(), String> {
             ))
         }
     }
-    Ok(())
-}
-
-/// `cm5 bench` — time the simulator itself (host cost, not simulated time)
-/// and write the `BENCH_sim.json` artifact.
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    use cm5_bench::perf;
-    args.check_flags(&["quick", "json", "large", "no-oracle"])?;
-    let quick = args.has("quick");
-    let reps = if quick { 1 } else { 3 };
-    // `--no-oracle` skips the reference-solver pass (and its makespan
-    // cross-check) — for CI smoke runs that already pay for the oracle in
-    // a separate differential gate.
-    let oracle = !args.has("no-oracle");
-    println!(
-        "simulator performance suite ({reps} rep{} per grid, best run):",
-        if reps == 1 { "" } else { "s" }
-    );
-    // `--large` adds the 1024/4096/16384-node cells (seconds per cell in a
-    // release build; opt-in for that reason).
-    let measurements = if args.has("large") {
-        perf::run_perf_suite_opts(reps, oracle)
-    } else {
-        perf::run_cases_opts(&perf::perf_cases(), reps, oracle)
-    };
-    println!(
-        "{:>8} {:>6} {:>13} {:>11} {:>12} {:>10} {:>9}",
-        "grid", "nodes", "solver", "wall ms", "events/sec", "cells/sec", "speedup"
-    );
-    for m in &measurements {
-        println!(
-            "{:>8} {:>6} {:>13} {:>11.3} {:>12.0} {:>10.1} {:>9}",
-            m.name,
-            m.n,
-            m.solver,
-            m.wall_secs * 1e3,
-            m.events_per_sec,
-            m.cells_per_sec,
-            m.speedup_vs_oracle
-                .map_or("n/a".to_string(), |s| format!("{s:.2}x")),
-        );
-    }
-    let path = args.get("json").unwrap_or("BENCH_sim.json");
-    std::fs::write(path, perf::to_json(&measurements, quick))
-        .map_err(|e| format!("could not write {path}: {e}"))?;
-    println!("wrote {path}");
     Ok(())
 }
 
@@ -1170,7 +1123,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 
 /// `cm5 serve` — the long-running scheduling service: JSON-lines queries
 /// on stdin (and optionally TCP), trace recording, and trace replay with
-/// a measured-QPS gate.
+/// measured QPS.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     use cm5_bench::querygen::{generate_trace, TraceMix};
     use cm5_serve::{replay, resolve_jobs, Service, ServiceConfig};
@@ -1186,9 +1139,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "shards",
         "out",
         "metrics-json",
-        "timing-json",
-        "bench-json",
-        "baseline",
         "tcp",
         "machine",
         "rates",
@@ -1238,7 +1188,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     });
 
     // Replay mode: drive a recorded trace through the worker pool and
-    // report sustained QPS (optionally gated against a baseline floor).
+    // report sustained QPS.
     if let Some(path) = args.get("replay") {
         let trace =
             std::fs::read_to_string(path).map_err(|e| format!("could not read {path}: {e}"))?;
@@ -1296,38 +1246,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             std::fs::write(lpath, service.live_metrics().to_json())
                 .map_err(|e| format!("could not write {lpath}: {e}"))?;
             println!("wrote {lpath} (live snapshot; wall-clock, not diffable)");
-        }
-        if let Some(tpath) = args.get("timing-json") {
-            let extra = vec![
-                (
-                    "wall_secs".to_string(),
-                    cm5_serve::Json::num(result.wall_secs),
-                ),
-                ("qps".to_string(), cm5_serve::Json::num(result.qps())),
-            ];
-            std::fs::write(tpath, service.timing_json(&extra))
-                .map_err(|e| format!("could not write {tpath}: {e}"))?;
-            println!("wrote {tpath}");
-        }
-        if let Some(bpath) = args.get("bench-json") {
-            merge_serve_cell(bpath, &result, resolve_jobs(jobs))?;
-            println!("merged serve_replay cell into {bpath}");
-        }
-        if let Some(bl) = args.get("baseline") {
-            let text =
-                std::fs::read_to_string(bl).map_err(|e| format!("could not read {bl}: {e}"))?;
-            let floors = cm5_bench::perf::parse_baseline(&text);
-            if let Some((_, floor)) = floors.iter().find(|(name, _)| name == "serve_replay") {
-                if result.qps() < *floor {
-                    return Err(format!(
-                        "perf gate: serve_replay sustained {:.0} qps, floor is {floor:.0}",
-                        result.qps()
-                    ));
-                }
-                println!("perf gate  : {:.0} qps >= floor {floor:.0}", result.qps());
-            } else {
-                println!("perf gate  : no serve_replay floor in {bl}, skipping");
-            }
         }
         return Ok(());
     }
@@ -1404,51 +1322,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Append a `serve_replay` cell to a `BENCH_sim.json` grids array (creating
-/// the file if missing) so the service's sustained QPS lands in the same
-/// artifact as the simulator host-cost suite. `events_per_sec` doubles as
-/// the queries/sec figure, which is what the baseline gate reads.
-fn merge_serve_cell(
-    path: &str,
-    result: &cm5_serve::ReplayResult,
-    jobs: usize,
-) -> Result<(), String> {
-    use cm5_serve::Json;
-    let doc = match std::fs::read_to_string(path) {
-        Ok(text) => Json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?,
-        Err(_) => Json::Obj(vec![
-            (
-                cm5_obs::SCHEMA_KEY.to_string(),
-                Json::str(cm5_obs::schema_id("bench-sim-perf", 4)),
-            ),
-            ("quick".to_string(), Json::Bool(false)),
-            ("grids".to_string(), Json::Arr(Vec::new())),
-        ]),
-    };
-    let Json::Obj(mut fields) = doc else {
-        return Err(format!("{path} is not a JSON object"));
-    };
-    let grids = fields
-        .iter_mut()
-        .find(|(k, _)| k == "grids")
-        .ok_or_else(|| format!("{path} has no grids array"))?;
-    let Json::Arr(cells) = &mut grids.1 else {
-        return Err(format!("{path} grids is not an array"));
-    };
-    cells.retain(|c| c.get("name").and_then(Json::as_str) != Some("serve_replay"));
-    cells.push(Json::Obj(vec![
-        ("name".to_string(), Json::str("serve_replay")),
-        ("nodes".to_string(), Json::int(0)),
-        ("solver".to_string(), Json::str("service")),
-        ("reps".to_string(), Json::int(1)),
-        ("wall_secs".to_string(), Json::num(result.wall_secs)),
-        ("events".to_string(), Json::int(result.requests as u64)),
-        ("events_per_sec".to_string(), Json::num(result.qps())),
-        ("jobs".to_string(), Json::int(jobs as u64)),
-    ]));
-    std::fs::write(path, Json::Obj(fields).render()).map_err(|e| format!("write {path}: {e}"))
-}
-
 const USAGE: &str = "\
 cm5 — schedule and simulate CM-5 communication patterns
 
@@ -1466,17 +1339,14 @@ USAGE:
   cm5 certify   [--alg lex|..|bex|lib|reb|ls|..|gs|crystal] [-n N] [--bytes B] [--density D]
                 [--seed S] [--pattern paper] [--pattern-file PATH] [--async] [--json] [--steps]
                 [--sim-check] [--budget-eager B] [--budget-pending B]
-  cm5 bench     [--quick] [--large] [--no-oracle] [--json PATH]
-                (simulator host-cost suite -> BENCH_sim.json; --large adds the
-                1024/4096/16384-node cells; --no-oracle skips the reference-solver pass)
   cm5 trace     [--alg lex|..|bex|lib|reb|ls|..|gs|crystal] [-n N] [--bytes B] [--density D]
                 [--seed S] [--pattern paper] [--pattern-file PATH] [--out trace.json]
                 [--timeline] [--links] [--json] [--width W] [--async]
   cm5 serve     [--tcp ADDR] [--shards N] [--machine M]  (JSON-lines on stdin/stdout)
   cm5 serve     --record PATH [--queries K] [--seed S] [--mix advise|mixed]
   cm5 serve     --replay PATH [--qps N] [--jobs N] [--shards N] [--out PATH]
-                [--metrics-json PATH] [--timing-json PATH] [--bench-json PATH] [--baseline PATH]
-                [--spans-out PATH] [--trace-out PATH] [--metrics-out PATH]
+                [--metrics-json PATH] [--spans-out PATH] [--trace-out PATH]
+                [--metrics-out PATH]
                 [--flight-dir DIR] [--flight-cap N] [--slo-ms MS] [--trace-ring N]
 
 `--alg auto` asks the cm5-model cost models to pick; `cm5 advise` prints
@@ -1499,8 +1369,7 @@ critical-path transcript.
 (`{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":32,\"bytes\":1024},\"verify\":true}`),
 one schema-stamped response line back. `--record` writes a deterministic
 query trace, `--replay` drives one through a worker pool and reports
-sustained queries/sec (`--baseline` gates it, `--bench-json` merges the
-cell into BENCH_sim.json). `cm5 advise --json` prints the same
+sustained queries/sec. `cm5 advise --json` prints the same
 `cm5-advise/1` document the service returns.
 Service telemetry: every query carries a request span with typed child
 phases (parse, advise-hit/miss, verify, simulate, render). `--spans-out`
@@ -1538,7 +1407,6 @@ fn dispatch(raw: &[String]) -> Result<(), String> {
         Some("sweep") => cmd_sweep(&args),
         Some("lint") => cmd_lint(&args),
         Some("certify") => cmd_certify(&args),
-        Some("bench") => cmd_bench(&args),
         Some("trace") => cmd_trace(&args),
         Some("serve") => cmd_serve(&args),
         Some(other) => Err(format!("unknown command '{other}'\n\n{USAGE}")),
@@ -1666,16 +1534,14 @@ mod tests {
         assert_eq!(recorded.lines().count(), 20);
 
         let out = dir.join("responses.jsonl");
-        let bench = dir.join("bench.json");
         let spans = dir.join("spans.json");
         let chrome = dir.join("trace.json");
         let live = dir.join("live.json");
         let flights = dir.join("flights");
         dispatch(&argv(&format!(
-            "serve --replay {trace_s} --jobs 2 --out {} --bench-json {} \
+            "serve --replay {trace_s} --jobs 2 --out {} \
              --spans-out {} --trace-out {} --metrics-out {} --flight-dir {} --slo-ms 0",
             out.to_str().unwrap(),
-            bench.to_str().unwrap(),
             spans.to_str().unwrap(),
             chrome.to_str().unwrap(),
             live.to_str().unwrap(),
@@ -1685,9 +1551,6 @@ mod tests {
         let responses = std::fs::read_to_string(&out).unwrap();
         assert_eq!(responses.lines().count(), 20);
         assert!(responses.contains("\"ok\":true"));
-        let merged = std::fs::read_to_string(&bench).unwrap();
-        assert!(merged.contains("\"serve_replay\""));
-        assert!(merged.contains("cm5-bench-sim-perf/4"));
         let spans = std::fs::read_to_string(&spans).unwrap();
         assert!(spans.contains("cm5-serve-spans/1"), "{spans}");
         assert_eq!(spans.matches("\"seq\"").count(), 20);
@@ -1695,6 +1558,17 @@ mod tests {
         assert!(chrome.contains("cm5-serve-trace/1"), "{chrome}");
         let live = std::fs::read_to_string(&live).unwrap();
         assert!(live.contains("\"uptime_secs\""), "{live}");
+        // Host timing lives in the live snapshot: the per-request latency
+        // histogram saw every replayed query.
+        let doc = cm5_serve::Json::parse(&live).unwrap();
+        let total = doc
+            .get("histograms")
+            .and_then(|h| h.get("request_total_ns"))
+            .unwrap_or_else(|| panic!("no request_total_ns histogram: {live}"));
+        assert_eq!(
+            total.get("count").and_then(cm5_serve::Json::as_f64),
+            Some(20.0)
+        );
         // --slo-ms 0 trips the flight recorder on every query.
         assert_eq!(std::fs::read_dir(&flights).unwrap().count(), 20);
         std::fs::remove_dir_all(&dir).ok();
@@ -1852,21 +1726,5 @@ mod tests {
         assert!(report
             .render_json()
             .starts_with("{\"schema\":\"cm5-lint/1\","));
-    }
-
-    #[test]
-    fn bench_writes_the_json_artifact() {
-        let path = std::env::temp_dir().join("cm5_cli_bench_test.json");
-        let path_s = path.to_str().unwrap();
-        dispatch(&argv(&format!("bench --quick --json {path_s}"))).unwrap();
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("cm5-bench-sim-perf/4"), "{json}");
-        assert!(json.contains("\"rex_128\""), "{json}");
-        assert!(json.contains("\"solver\": \"incremental\""), "{json}");
-        // Without --large the big cells must stay out of the artifact
-        // (this test runs in a debug build).
-        assert!(!json.contains("\"pex_16k\""), "{json}");
-        std::fs::remove_file(&path).ok();
-        assert!(dispatch(&argv("bench --jobs 3")).is_err());
     }
 }

@@ -54,11 +54,12 @@ impl Histogram {
         }
     }
 
-    /// Record one sample.
+    /// Record one sample. The sum saturates: one simulated makespan can
+    /// sit near the u64-nanosecond horizon on its own.
     pub fn record(&mut self, v: u64) {
         self.buckets[Self::bucket(v)] += 1;
         self.count += 1;
-        self.sum += v;
+        self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
     }
 

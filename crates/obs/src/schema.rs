@@ -1,9 +1,9 @@
 //! Shared schema versioning for every JSON artifact the workspace emits.
 //!
-//! All hand-rolled JSON emitters (`cm5 lint --json`, `cm5 bench --json`,
-//! trace and metrics exports) stamp a `"schema"` field built here, so
-//! downstream tooling can detect format drift with one string comparison
-//! instead of sniffing fields.
+//! All hand-rolled JSON emitters (`cm5 lint --json`, `report perf`'s
+//! `BENCH_sim.json`, trace and metrics exports) stamp a `"schema"` field
+//! built here, so downstream tooling can detect format drift with one
+//! string comparison instead of sniffing fields.
 
 /// JSON key under which the schema identifier is stored.
 pub const SCHEMA_KEY: &str = "schema";

@@ -20,13 +20,16 @@
 //! * **Replay** ([`pool`]): feed a recorded trace through a worker pool at
 //!   `--jobs N` workers and optional `--qps` pacing. Responses merge in
 //!   canonical input order, so the response stream and the deterministic
-//!   metrics document are byte-identical at any worker count; sustained
-//!   QPS lands in `BENCH_sim.json` with a CI floor.
+//!   metrics document are byte-identical at any worker count; `report
+//!   perf` replays the recorded mixed trace as the `serve_replay` cell of
+//!   `BENCH_sim.json`, which `report watch` gates with a CI floor.
 //!
 //! Observability splits cleanly: deterministic counters/histograms
-//! ([`service::Service::metrics`], `cm5-metrics/1`) versus host timing
-//! ([`service::Service::timing_json`], `cm5-serve-timing/1`) — the same
-//! determinism boundary the simulator draws around `SimPerf`.
+//! ([`service::Service::metrics`], `cm5-metrics/1`) versus the live
+//! snapshot ([`service::Service::live_metrics`]: `GET /metrics`,
+//! `--metrics-out`) that adds host timing — per-phase wall-clock
+//! histograms, queue depth, uptime and QPS — the same determinism
+//! boundary the simulator draws around `SimPerf`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

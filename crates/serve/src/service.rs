@@ -18,9 +18,10 @@
 //! * histograms that only record *simulated or modeled* values.
 //!
 //! Host timing (per-stage latency, queue depth, wall-clock QPS) is real
-//! but nondeterministic, so it lives in a separate timing document
-//! (`cm5-serve-timing/1`) that is excluded from determinism comparisons —
-//! the same split the simulator makes for [`cm5_sim::SimPerf`].
+//! but nondeterministic, so it lives only in the live snapshot
+//! ([`Service::live_metrics`]: `GET /metrics`, `--metrics-out`), which is
+//! excluded from determinism comparisons — the same split the simulator
+//! makes for [`cm5_sim::SimPerf`].
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -32,7 +33,7 @@ use std::time::Instant;
 
 use cm5_core::prelude::*;
 use cm5_model::{Advisor, Algorithm, PatternStats, Recommendation, Workload};
-use cm5_obs::{schema_field, FlightRecorder, Histogram, Metrics, PhaseKind, QueryCtx, QuerySpan};
+use cm5_obs::{FlightRecorder, Histogram, Metrics, PhaseKind, QueryCtx, QuerySpan};
 use cm5_sim::tenant::{run_tenants, Placement, TenantSpec};
 use cm5_sim::{FatTree, MachineParams, OpProgram, SimReport, Simulation};
 use cm5_verify::{exchange_policy, irregular_policy, verify_programs, verify_schedule, Severity};
@@ -116,17 +117,6 @@ pub struct Timing {
     total_ns: Mutex<Histogram>,
     /// Queue depth sampled by the replay pool at each dequeue.
     pub(crate) queue_depth: Mutex<Histogram>,
-}
-
-impl Timing {
-    fn hist_json(h: &Mutex<Histogram>) -> Json {
-        let h = h.lock().expect("timing poisoned");
-        Json::Obj(vec![
-            ("count".into(), Json::int(h.count)),
-            ("mean_ns".into(), Json::num(h.mean())),
-            ("max_ns".into(), Json::int(h.max)),
-        ])
-    }
 }
 
 /// The long-running scheduling service.
@@ -713,46 +703,6 @@ impl Service {
         m
     }
 
-    /// Render the nondeterministic host-timing document
-    /// (`cm5-serve-timing/1`): per-stage latency histograms plus whatever
-    /// the caller measured (wall seconds, QPS, queue depth).
-    pub fn timing_json(&self, extra: &[(String, Json)]) -> String {
-        let mut fields = vec![
-            (
-                "advise".to_string(),
-                Timing::hist_json(&self.timing.advise_ns),
-            ),
-            (
-                "verify".to_string(),
-                Timing::hist_json(&self.timing.verify_ns),
-            ),
-            (
-                "simulate".to_string(),
-                Timing::hist_json(&self.timing.simulate_ns),
-            ),
-            (
-                "request_total".to_string(),
-                Timing::hist_json(&self.timing.total_ns),
-            ),
-            (
-                "queue_depth".to_string(),
-                Timing::hist_json(&self.timing.queue_depth),
-            ),
-        ];
-        for (k, v) in extra {
-            fields.push((k.clone(), v.clone()));
-        }
-        format!(
-            "{{{},{}}}\n",
-            schema_field("serve-timing", 1),
-            fields
-                .iter()
-                .map(|(k, v)| format!("{}:{}", Json::str(k.clone()).render(), v.render()))
-                .collect::<Vec<_>>()
-                .join(",")
-        )
-    }
-
     /// Clone the flight recorder's ring: the last N fully-spanned queries
     /// in arrival order. This is what interactive-mode `--spans-out` /
     /// `--trace-out` export at shutdown (replay mode exports the complete
@@ -951,15 +901,5 @@ mod tests {
         let out = s.handle_line(r#"{"id":3,"query":{"kind":"exchange","n":2048,"bytes":16}}"#);
         let doc = Json::parse(&out).unwrap();
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
-    }
-
-    #[test]
-    fn timing_json_is_schema_stamped() {
-        let s = service();
-        s.handle_line(r#"{"id":1,"query":{"kind":"exchange","n":8,"bytes":64}}"#);
-        let t = s.timing_json(&[("qps".into(), Json::num(123.0))]);
-        assert!(t.contains("\"schema\":\"cm5-serve-timing/1\""), "{t}");
-        assert!(t.contains("\"qps\":123"), "{t}");
-        assert!(Json::parse(t.trim()).is_ok());
     }
 }

@@ -2,8 +2,8 @@
 //! one advise+verify+simulate query is pinned byte for byte.
 //!
 //! The canonical export strips every wall-clock field (durations live only
-//! in the Chrome-trace view, which is quarantined like
-//! `cm5-serve-timing/1`), so the document is a pure function of the
+//! in the Chrome-trace view, which is quarantined like the live metrics
+//! snapshot), so the document is a pure function of the
 //! request — any diff means the span *shape* changed: a phase added,
 //! dropped, renamed, or its advise-hit/advise-miss derivation altered.
 //! All must be deliberate. To re-bless after a deliberate change:

@@ -437,7 +437,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             Ev::PostAsync { node } => self.handle_post_async(node, t),
             Ev::NetCheck { gen } => {
                 if gen == self.net_gen {
-                    self.handle_net(t);
+                    self.handle_net(t)?;
                 }
             }
         }
@@ -526,7 +526,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             let clock = self.nodes[node].clock;
             match action {
                 Action::Compute(d) => {
-                    self.nodes[node].clock += d;
+                    self.nodes[node].clock = later(clock, d)?;
                     self.nodes[node].report.busy += d;
                     resume = Resume::at(self.nodes[node].clock);
                 }
@@ -548,7 +548,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                         });
                     }
                     let oh = self.params.send_overhead;
-                    self.nodes[node].clock += oh;
+                    self.nodes[node].clock = later(clock, oh)?;
                     self.nodes[node].report.busy += oh;
                     let at = self.nodes[node].clock;
                     self.blocked_action[node] = Some(action);
@@ -570,7 +570,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                     }
                     // The sender still pays the software cost of posting.
                     let oh = self.params.send_overhead;
-                    self.nodes[node].clock += oh;
+                    self.nodes[node].clock = later(clock, oh)?;
                     self.nodes[node].report.busy += oh;
                     let at = self.nodes[node].clock;
                     let handle = self.next_handle;
@@ -612,7 +612,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                         }
                     }
                     let oh = self.params.recv_overhead;
-                    self.nodes[node].clock += oh;
+                    self.nodes[node].clock = later(clock, oh)?;
                     self.nodes[node].report.busy += oh;
                     let at = self.nodes[node].clock;
                     self.blocked_action[node] = Some(action);
@@ -746,7 +746,8 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                         self.params.wire_bytes(bytes) as f64,
                         self.params.leaf_bandwidth,
                     );
-                    self.resume_node(node, t + inj, Resume::at(t + inj));
+                    let at = later(t, inj)?;
+                    self.resume_node(node, at, Resume::at(at));
                 }
             },
             Action::Recv { from, tag } => {
@@ -989,7 +990,14 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
     }
 
     /// Collect flows that completed at `t` and resume their endpoints.
-    fn handle_net(&mut self, t: SimTime) {
+    fn handle_net(&mut self, t: SimTime) -> Result<(), SimError> {
+        if t == SimTime::MAX {
+            // The network's prediction for a flow that cannot finish
+            // before the horizon, and nothing changed rates in between.
+            return Err(SimError::TimeOverflow {
+                time: self.network.now(),
+            });
+        }
         self.network.advance_to(t);
         let mut completed = std::mem::take(&mut self.completed_buf);
         self.network.drain_completed_into(&mut completed);
@@ -1010,7 +1018,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
                     tag: msg.tag,
                 },
             );
-            let recv_at = t + self.params.wire_latency;
+            let recv_at = later(t, self.params.wire_latency)?;
             let recv_resume = Resume {
                 time: recv_at,
                 payload: msg.payload,
@@ -1049,6 +1057,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         }
         self.completed_buf = completed;
         self.note_net_mutation(t);
+        Ok(())
     }
 
     /// An async send's bytes have fully drained: mark its handle complete
@@ -1120,7 +1129,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         }
         // Everyone arrived: compute the finish time and resume all nodes.
         let st = self.collective.take().expect("collective state");
-        let mut finish = st.max_time + self.params.control_latency;
+        let mut finish = later(st.max_time, self.params.control_latency)?;
         let mut reduced = None;
         let mut per_node: Option<Vec<f64>> = None;
         let fold = |op: &ReduceOp, acc: f64, v: f64| match op {
@@ -1131,11 +1140,14 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         match &st.kind {
             CollKind::Barrier => {}
             CollKind::SystemBcast { .. } => {
-                finish += self.params.system_bcast_overhead;
-                finish += SimDuration::from_rate(
-                    self.params.wire_bytes(st.bytes) as f64,
-                    self.params.system_bcast_bandwidth,
-                );
+                finish = later(finish, self.params.system_bcast_overhead)?;
+                finish = later(
+                    finish,
+                    SimDuration::from_rate(
+                        self.params.wire_bytes(st.bytes) as f64,
+                        self.params.system_bcast_bandwidth,
+                    ),
+                )?;
             }
             CollKind::Reduce { op } => {
                 // Fold in node order for bit-reproducibility.
@@ -1195,6 +1207,12 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
         }
         Ok(())
     }
+}
+
+/// `t + d` for a future event, or [`SimError::TimeOverflow`] past the
+/// u64-nanosecond horizon.
+fn later(t: SimTime, d: SimDuration) -> Result<SimTime, SimError> {
+    t.checked_add(d).ok_or(SimError::TimeOverflow { time: t })
 }
 
 fn matches_recv(recv: Option<&PendingRecv>, src: usize, tag: u32) -> bool {
@@ -1550,5 +1568,84 @@ mod tests {
         let r = sim(8).run_ops(&p).unwrap();
         assert_eq!(r.root_crossings, 1);
         assert_eq!(r.messages, 2);
+    }
+
+    /// A full pairwise exchange lowered by hand: step `j` pairs `i ↔ i ^ j`
+    /// and the lower node receives first. `isend` makes the sends
+    /// non-blocking, with one `WaitAll` at the end.
+    fn pex(n: usize, bytes: u64, isend: bool) -> Vec<OpProgram> {
+        let mut p = idle(n);
+        for j in 1..n {
+            for (i, prog) in p.iter_mut().enumerate() {
+                let (to, tag) = (i ^ j, j as u32);
+                let send = if isend {
+                    Op::Isend { to, bytes, tag }
+                } else {
+                    Op::Send { to, bytes, tag }
+                };
+                let recv = Op::Recv { from: to, tag };
+                if i < to {
+                    prog.extend([recv, send]);
+                } else {
+                    prog.extend([send, recv]);
+                }
+            }
+        }
+        if isend {
+            for prog in &mut p {
+                prog.push(Op::WaitAll);
+            }
+        }
+        p
+    }
+
+    fn sim_with(n: usize, solver: RateSolver) -> Simulation {
+        let mut params = MachineParams::cm5_1992();
+        params.rate_solver = solver;
+        Simulation::new(n, params)
+    }
+
+    #[test]
+    fn time_past_the_horizon_is_a_typed_error() {
+        for solver in [RateSolver::Incremental, RateSolver::Full] {
+            // 6e15 B per pair needs ~2.3e19 ns, past u64::MAX (~1.8e19).
+            let err = sim_with(16, solver)
+                .run_ops(&pex(16, 6_000_000_000_000_000, false))
+                .unwrap_err();
+            assert!(matches!(err, SimError::TimeOverflow { .. }), "{err}");
+            // Two thirds of that still fits.
+            let r = sim_with(16, solver)
+                .run_ops(&pex(16, 4_000_000_000_000_000, false))
+                .unwrap();
+            assert_eq!(r.makespan.as_nanos(), 15_000_000_000_001_440_000);
+        }
+        // A node's own clock crossing the horizon is the same error.
+        let mut p = idle(2);
+        p[0] = vec![
+            Op::Compute(SimDuration(u64::MAX)),
+            Op::Send {
+                to: 1,
+                bytes: 0,
+                tag: 0,
+            },
+        ];
+        p[1] = vec![Op::Recv { from: 0, tag: 0 }];
+        let err = sim(2).run_ops(&p).unwrap_err();
+        assert!(matches!(err, SimError::TimeOverflow { .. }), "{err}");
+    }
+
+    #[test]
+    fn sub_ulp_residuals_do_not_stall_the_incremental_solver() {
+        // At 1e14 B per flow, `rate * dt` can round a fraction of a byte
+        // short of `remaining`, so a due flow fails to drain. The solver
+        // must re-predict instead of re-issuing the same instant forever,
+        // and land where the full oracle does.
+        let programs = pex(16, 100_000_000_000_000, true);
+        let inc = sim_with(16, RateSolver::Incremental)
+            .run_ops(&programs)
+            .unwrap();
+        let full = sim_with(16, RateSolver::Full).run_ops(&programs).unwrap();
+        assert_eq!(inc.makespan, full.makespan);
+        assert_eq!(inc.messages, 16 * 15);
     }
 }

@@ -39,6 +39,12 @@ pub enum SimError {
         /// Panic payload, if it was a string.
         message: String,
     },
+    /// An event would land past the u64-nanosecond horizon (~584 years of
+    /// simulated time): the workload is too large to simulate.
+    TimeOverflow {
+        /// The instant the offending duration was added to.
+        time: SimTime,
+    },
     /// A multi-tenant layout or tenant program was unusable (tenants do not
     /// fit the shared tree, a tenant program uses a machine-wide collective,
     /// a peer is outside the tenant, …).
@@ -68,6 +74,11 @@ impl fmt::Display for SimError {
             SimError::NodePanic { node, message } => {
                 write!(f, "node {node} panicked: {message}")
             }
+            SimError::TimeOverflow { time } => write!(
+                f,
+                "simulated time overflow: an event after t={time} lies past the \
+                 u64-nanosecond horizon"
+            ),
             SimError::Tenancy { detail } => write!(f, "tenancy error: {detail}"),
         }
     }

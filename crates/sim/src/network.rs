@@ -357,6 +357,11 @@ impl Network {
         self.flows_admitted
     }
 
+    /// Current network time.
+    pub(crate) fn now(&self) -> SimTime {
+        self.now
+    }
+
     /// Peak simultaneous active flows (perf counter).
     pub fn flows_peak(&self) -> usize {
         self.flows_peak
@@ -513,6 +518,15 @@ impl Network {
                 self.remove_drained(out);
                 if out.len() > before {
                     self.dirty = true;
+                } else {
+                    // The due flow kept a sub-ulp residual (at ~1e14 bytes
+                    // `rate * dt` rounds short of `remaining`). Re-predict
+                    // from the synced bytes, as the full solver does on
+                    // every call; keeping the stale entry would hand the
+                    // engine the same instant forever.
+                    self.rate_epoch += 1;
+                    self.completions.clear();
+                    self.rebuild_completions();
                 }
             }
         }
@@ -583,7 +597,7 @@ impl Network {
                     } else {
                         let rate = self.store.rate[si];
                         invariant!(rate > 0.0, "active flow with zero rate");
-                        self.now + SimDuration::from_rate(rem, rate)
+                        completion_time(self.now, rem, rate)
                     };
                     best = Some(match best {
                         Some(b) => b.min(t),
@@ -651,7 +665,7 @@ impl Network {
             } else {
                 let rate = store.rate[si];
                 invariant!(rate > 0.0, "active flow with zero rate");
-                now + SimDuration::from_rate(rem, rate)
+                completion_time(now, rem, rate)
             };
             completions.push(Reverse(CompEntry {
                 time,
@@ -763,6 +777,15 @@ impl Network {
     fn slab_len(&self) -> usize {
         self.store.len()
     }
+}
+
+/// When `remaining` bytes at `rate` finish, counting from `now`. A
+/// completion past the u64-nanosecond horizon reads as [`SimTime::MAX`]
+/// (the engine reports [`crate::SimError::TimeOverflow`] if time gets
+/// there) instead of wrapping around to the past.
+fn completion_time(now: SimTime, remaining: f64, rate: f64) -> SimTime {
+    now.checked_add(SimDuration::from_rate(remaining, rate))
+        .unwrap_or(SimTime::MAX)
 }
 
 /// Progressive-filling max-min fairness with per-flow caps.

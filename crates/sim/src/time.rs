@@ -20,6 +20,11 @@ impl SimTime {
     /// Time zero: the start of every simulation run.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The u64-nanosecond horizon (~584 years). No event can be scheduled
+    /// at or past it; the network reports a completion that would land
+    /// beyond it as exactly this instant.
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Nanoseconds since the start of the run.
     #[inline]
     pub fn as_nanos(self) -> u64 {
@@ -48,6 +53,12 @@ impl SimTime {
     #[inline]
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
+    }
+
+    /// `self + d`, or `None` past the u64-nanosecond horizon.
+    #[inline]
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
     }
 
     /// The later of two instants.
@@ -200,6 +211,11 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_micros(88);
         assert_eq!(t.as_nanos(), 88_000);
         assert_eq!((t + SimDuration::from_nanos(12)) - t, SimDuration(12));
+        assert_eq!(
+            t.checked_add(SimDuration::from_nanos(12)),
+            Some(t + SimDuration::from_nanos(12))
+        );
+        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_nanos(1)), None);
         assert_eq!(t.since(SimTime::ZERO), SimDuration::from_micros(88));
     }
 

@@ -174,6 +174,29 @@ fn oversized_named_workload_is_an_error_not_a_panic() {
     );
 }
 
+/// A simulation whose simulated time would pass the u64-nanosecond horizon
+/// is an `ok:false` answer (it used to spin forever), and the service goes
+/// on to answer the next line.
+#[test]
+fn simulated_time_overflow_is_an_error_not_a_hang() {
+    let service = Service::new(ServiceConfig::default());
+    let trace = "{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":16,\"bytes\":6000000000000000},\"simulate\":true}\n\
+                 {\"id\":2,\"query\":{\"kind\":\"exchange\",\"n\":16,\"bytes\":4096},\"simulate\":true}\n";
+    let result = replay(&service, trace, 1, None);
+    assert_eq!(result.responses.len(), 2, "{:?}", result.responses);
+    assert!(
+        result.responses[0].contains("\"ok\":false")
+            && result.responses[0].contains("simulated time overflow"),
+        "{}",
+        result.responses[0]
+    );
+    assert!(
+        result.responses[1].contains("\"ok\":true"),
+        "{}",
+        result.responses[1]
+    );
+}
+
 /// Name alphabet for generated strings — includes every character the
 /// JSON renderer must escape.
 const NAME_CHARS: &[char] = &[
