@@ -765,6 +765,11 @@ fn perf() {
                 .map_or("n/a".to_string(), |s| format!("{s:.2}x")),
         );
     }
+    for m in &measurements {
+        if let (Some(p50), Some(p99)) = (m.latency_p50_ms, m.latency_p99_ms) {
+            println!("{:>12} latency p50 {p50:.3} ms, p99 {p99:.3} ms", m.name);
+        }
+    }
     let json_path = BENCH_JSON.get().expect("set in main");
     let json = p::to_json(&measurements, quick);
     match std::fs::write(json_path, &json) {

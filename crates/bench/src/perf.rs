@@ -77,6 +77,10 @@ pub struct PerfMeasurement {
     pub speedup_vs_oracle: Option<f64>,
     /// Simulated makespan (sanity anchor: must not depend on the solver).
     pub makespan_ms: f64,
+    /// Median per-query host latency (`serve_replay` only), milliseconds.
+    pub latency_p50_ms: Option<f64>,
+    /// 99th-percentile per-query host latency (`serve_replay` only).
+    pub latency_p99_ms: Option<f64>,
 }
 
 fn solver_name(solver: RateSolver) -> &'static str {
@@ -270,6 +274,8 @@ pub fn run_cases_opts(cases: &[PerfCase], reps: u32, oracle: bool) -> Vec<PerfMe
                 oracle_wall_secs: oracle_best,
                 speedup_vs_oracle: oracle_best.and_then(|o| (best > 0.0).then(|| o / best)),
                 makespan_ms: report.makespan.as_millis_f64(),
+                latency_p50_ms: None,
+                latency_p99_ms: None,
             }
         })
         .collect()
@@ -295,14 +301,27 @@ pub fn serve_trace() -> String {
     generate_trace(TraceMix::Mixed, 512, 1)
 }
 
+/// Nearest-rank `q`-quantile of ascending `sorted`, or `None` when empty.
+fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
+    let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+    sorted.get(rank - 1).copied()
+}
+
 /// Replay `trace` once through a fresh default [`Service`] on
 /// `SERVE_JOBS` (4) workers and report it as the `serve_replay` cell:
 /// `events` counts requests, so `events_per_sec` is queries/sec — the
-/// figure its baseline floor is written in.
+/// figure its baseline floor is written in. The latency percentiles are
+/// over each query's span total.
 pub fn measure_serve(trace: &str) -> PerfMeasurement {
     let service = Service::new(ServiceConfig::default());
     let result = cm5_serve::replay(&service, trace, SERVE_JOBS, None);
     let wall = result.wall_secs;
+    let mut latencies: Vec<f64> = result
+        .spans
+        .iter()
+        .map(|s| s.total_ns as f64 / 1e6)
+        .collect();
+    latencies.sort_by(f64::total_cmp);
     PerfMeasurement {
         name: "serve_replay".to_string(),
         n: 0,
@@ -318,6 +337,8 @@ pub fn measure_serve(trace: &str) -> PerfMeasurement {
         oracle_wall_secs: None,
         speedup_vs_oracle: None,
         makespan_ms: 0.0,
+        latency_p50_ms: quantile(&latencies, 0.50),
+        latency_p99_ms: quantile(&latencies, 0.99),
     }
 }
 
@@ -336,13 +357,20 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
     );
     out.push_str(&format!("  \"quick\": {quick},\n  \"grids\": [\n"));
     for (i, m) in measurements.iter().enumerate() {
+        // Additive fields, present on the serve cell only.
+        let latency = match (m.latency_p50_ms, m.latency_p99_ms) {
+            (Some(p50), Some(p99)) => {
+                format!(", \"latency_p50_ms\": {p50:.3}, \"latency_p99_ms\": {p99:.3}")
+            }
+            _ => String::new(),
+        };
         out.push_str(&format!(
             "    {{\"name\": \"{}\", \"nodes\": {}, \"solver\": \"{}\", \
              \"reps\": {}, \
              \"wall_secs\": {:.6}, \"events\": {}, \"events_per_sec\": {:.1}, \
              \"cells_per_sec\": {:.3}, \"recomputes\": {}, \"flows\": {}, \
              \"flows_peak\": {}, \"oracle_wall_secs\": {}, \
-             \"speedup_vs_oracle\": {}, \"makespan_ms\": {:.4}}}{}\n",
+             \"speedup_vs_oracle\": {}, \"makespan_ms\": {:.4}{}}}{}\n",
             m.name,
             m.n,
             m.solver,
@@ -357,6 +385,7 @@ pub fn to_json(measurements: &[PerfMeasurement], quick: bool) -> String {
             opt(m.oracle_wall_secs, 6),
             opt(m.speedup_vs_oracle, 2),
             m.makespan_ms,
+            latency,
             if i + 1 < measurements.len() { "," } else { "" },
         ));
     }
@@ -471,6 +500,8 @@ mod tests {
         assert_eq!(cell.name, "serve_replay");
         assert_eq!(cell.events, 20);
         assert!(cell.events_per_sec > 0.0);
+        let (p50, p99) = (cell.latency_p50_ms.unwrap(), cell.latency_p99_ms.unwrap());
+        assert!(0.0 < p50 && p50 <= p99, "p50 {p50} p99 {p99}");
         let mut ms = run_cases_opts(&perf_cases()[..1], 1, false);
         ms.push(cell);
         let verdict = crate::watch::watch(&to_json(&ms, true), "rex_64 1\nserve_replay 1\n")

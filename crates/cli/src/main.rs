@@ -350,18 +350,7 @@ fn cmd_workload(args: &Args) -> Result<(), String> {
     let n = args.usize_or("n", 32)?;
     let params = machine(args)?;
     let name = args.get("name").unwrap_or("euler2k");
-    let pattern = match name {
-        "cg" => cm5_workloads::cg_pattern(n),
-        "euler545" => cm5_workloads::euler_pattern(545, n),
-        "euler2k" => cm5_workloads::euler_pattern(2048, n),
-        "euler3k" => cm5_workloads::euler_pattern(3072, n),
-        "euler9k" => cm5_workloads::euler_pattern(9216, n),
-        other => {
-            return Err(format!(
-                "unknown --name '{other}' (cg|euler545|euler2k|euler3k|euler9k)"
-            ))
-        }
-    };
+    let pattern = cm5_workloads::named_pattern(name, n)?;
     println!(
         "workload {name}: {n} nodes, density {:.0}%, avg msg {:.0} B",
         pattern.density() * 100.0,
@@ -405,16 +394,7 @@ fn cmd_advise(args: &Args) -> Result<(), String> {
         },
         "irregular" => {
             let pattern = match args.get("name") {
-                Some("cg") => cm5_workloads::cg_pattern(n),
-                Some("euler545") => cm5_workloads::euler_pattern(545, n),
-                Some("euler2k") => cm5_workloads::euler_pattern(2048, n),
-                Some("euler3k") => cm5_workloads::euler_pattern(3072, n),
-                Some("euler9k") => cm5_workloads::euler_pattern(9216, n),
-                Some(other) => {
-                    return Err(format!(
-                        "unknown --name '{other}' (cg|euler545|euler2k|euler3k|euler9k)"
-                    ))
-                }
+                Some(name) => cm5_workloads::named_pattern(name, n)?,
                 None => irregular_pattern(args, n)?,
             };
             if !json {
@@ -1508,6 +1488,21 @@ mod tests {
         assert!(dispatch(&argv("advise")).is_err());
         assert!(dispatch(&argv("advise fft")).is_err());
         assert!(dispatch(&argv("advise irregular --name bogus")).is_err());
+    }
+
+    #[test]
+    fn out_of_range_named_workloads_are_errors_not_panics() {
+        // More parts than mesh vertices: the same error serve answers with.
+        let want = cm5_workloads::named_pattern("euler545", 1024).unwrap_err();
+        assert!(want.contains("545-vertex mesh"), "{want}");
+        for cmd in [
+            "workload --name euler545 --n 1024",
+            "advise irregular --name euler545 --n 1024",
+        ] {
+            assert_eq!(dispatch(&argv(cmd)).unwrap_err(), want, "{cmd}");
+        }
+        // Fewer than two parts is an error too.
+        assert!(dispatch(&argv("workload --name cg --n 1")).is_err());
     }
 
     #[test]

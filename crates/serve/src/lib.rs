@@ -13,6 +13,10 @@
 //!   via the sharded-cache [`cm5_model::Advisor`], verify the picked
 //!   schedule through a sharded memo that amortizes `cm5-verify` runs
 //!   across the queue, and simulate on request (bounded per-request work).
+//! * **Named workloads**: `workload` queries answer through
+//!   [`named_pattern`] (re-exported from `cm5-workloads`), which
+//!   triangulates each named mesh once per process and builds only the
+//!   partition and halo per query; the service itself holds no mesh state.
 //! * **Multi-tenancy**: `tenants` queries admit concurrent partition
 //!   simulations on one shared fat tree via [`cm5_sim::tenant`] — the
 //!   root-bandwidth-contention regime the paper's dedicated machine never
@@ -41,9 +45,10 @@ pub mod response;
 pub mod service;
 pub mod tcp;
 
+pub use cm5_workloads::named_pattern;
 pub use json::Json;
 pub use pool::{replay, resolve_jobs, ReplayResult};
 pub use request::{Query, Request, TenantQuery, MAX_NODES};
 pub use response::{recommendation_json, stats_json, tenants_json};
-pub use service::{named_pattern, Service, ServiceConfig, SIM_MAX_NODES};
+pub use service::{Service, ServiceConfig, SIM_MAX_NODES};
 pub use tcp::{spawn_tcp, TcpHandle};

@@ -37,6 +37,7 @@ use cm5_obs::{FlightRecorder, Histogram, Metrics, PhaseKind, QueryCtx, QuerySpan
 use cm5_sim::tenant::{run_tenants, Placement, TenantSpec};
 use cm5_sim::{FatTree, MachineParams, OpProgram, SimReport, Simulation};
 use cm5_verify::{exchange_policy, irregular_policy, verify_programs, verify_schedule, Severity};
+use cm5_workloads::named_pattern;
 
 use crate::json::Json;
 use crate::request::{Query, Request, TenantQuery};
@@ -756,30 +757,6 @@ fn sim_json(report: &SimReport) -> Json {
             Json::num(report.effective_bandwidth() / 1e6),
         ),
     ])
-}
-
-/// The named real-application patterns `cm5 advise --name` accepts.
-pub fn named_pattern(name: &str, n: usize) -> Result<Pattern, String> {
-    // Each workload partitions a fixed mesh, so `n` may not exceed its
-    // vertex count (the cg mesh is a 128×128 grid).
-    let (vertices, build): (usize, fn(usize) -> Pattern) = match name {
-        "cg" => (128 * 128, cm5_workloads::cg_pattern),
-        "euler545" => (545, |n| cm5_workloads::euler_pattern(545, n)),
-        "euler2k" => (2048, |n| cm5_workloads::euler_pattern(2048, n)),
-        "euler3k" => (3072, |n| cm5_workloads::euler_pattern(3072, n)),
-        "euler9k" => (9216, |n| cm5_workloads::euler_pattern(9216, n)),
-        other => {
-            return Err(format!(
-                "unknown workload '{other}' (cg|euler545|euler2k|euler3k|euler9k)"
-            ))
-        }
-    };
-    if n > vertices {
-        return Err(format!(
-            "workload '{name}' partitions a {vertices}-vertex mesh; n={n} exceeds it"
-        ));
-    }
-    Ok(build(n))
 }
 
 #[cfg(test)]

@@ -16,6 +16,8 @@ use cm5_core::{Pattern, Schedule};
 use cm5_mesh::prelude::*;
 use cm5_sim::CmmdNode;
 
+use crate::named::{cg_graph, Decomposition, MeshGraph};
+
 /// Bytes sent per halo vertex per exchange (one `f64` value).
 pub const CG_BYTES_PER_VALUE: u64 = 8;
 
@@ -36,25 +38,38 @@ pub struct CgProblem {
     pub pattern: Pattern,
 }
 
-/// Build the paper's CG workload: a 128×128 jittered-grid mesh (16,384
-/// vertices), column-strip partitioned across `parts` nodes. Deterministic.
-pub fn cg_problem(parts: usize) -> CgProblem {
-    let nx = 128usize;
-    let ny = 128usize;
-    let pts = jittered_grid(nx, ny, 0.3, 0xC64AD);
-    let mesh = cm5_mesh::delaunay(&pts);
-    // Clean column strips: vertex v sits at grid column v % nx.
-    let assignment: Vec<usize> = (0..pts.len())
-        .map(|v| ((v % nx) * parts / nx).min(parts - 1))
+/// Side of the CG mesh's jittered grid: vertex `v` sits at grid column
+/// `v % CG_GRID_SIDE`.
+const CG_GRID_SIDE: usize = 128;
+
+/// Clean column strips of the CG mesh over `parts` nodes, and their halo.
+pub(crate) fn decompose(graph: &MeshGraph, parts: usize) -> Decomposition {
+    let assignment: Vec<usize> = (0..graph.vertices())
+        .map(|v| ((v % CG_GRID_SIDE) * parts / CG_GRID_SIDE).min(parts - 1))
         .collect();
-    let edges = mesh.edges();
-    let halo = Halo::build(parts, &assignment, &edges);
+    let halo = Halo::build(parts, &assignment, graph.edges());
     let pattern = halo.pattern(CG_BYTES_PER_VALUE);
-    let matrix = Csr::laplacian(pts.len(), &edges, 1.0);
+    Decomposition {
+        assignment,
+        halo,
+        pattern,
+    }
+}
+
+/// Build the paper's CG workload: a 128×128 jittered-grid mesh (16,384
+/// vertices, memoized per process), column-strip partitioned across
+/// `parts` nodes. Deterministic.
+pub fn cg_problem(parts: usize) -> CgProblem {
+    let graph = cg_graph();
+    let Decomposition {
+        assignment,
+        halo,
+        pattern,
+    } = decompose(graph, parts);
+    let n = graph.vertices();
+    let matrix = Csr::laplacian(n, graph.edges(), 1.0);
     // Deterministic, structured RHS.
-    let rhs: Vec<f64> = (0..pts.len())
-        .map(|v| ((v % 97) as f64 - 48.0) / 97.0)
-        .collect();
+    let rhs: Vec<f64> = (0..n).map(|v| ((v % 97) as f64 - 48.0) / 97.0).collect();
     CgProblem {
         matrix,
         rhs,
@@ -65,9 +80,10 @@ pub fn cg_problem(parts: usize) -> CgProblem {
     }
 }
 
-/// Just the communication pattern of the CG workload (Table 12 column 1).
+/// Just the communication pattern of the CG workload (Table 12 column 1):
+/// the partition and halo of the memoized mesh, no matrix.
 pub fn cg_pattern(parts: usize) -> Pattern {
-    cg_problem(parts).pattern
+    decompose(cg_graph(), parts).pattern
 }
 
 /// Sequential CG, fixed iteration count; returns `(x, final ‖r‖²)`.

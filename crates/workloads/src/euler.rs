@@ -23,6 +23,8 @@ use cm5_core::{Pattern, Schedule};
 use cm5_mesh::prelude::*;
 use cm5_sim::CmmdNode;
 
+use crate::named::{euler_graph, Decomposition, MeshGraph};
+
 /// Conserved variables per vertex (density, x/y momentum, energy).
 pub const EULER_VARS: usize = 4;
 /// Bytes sent per halo vertex per exchange. The paper's average message
@@ -50,22 +52,39 @@ pub struct EulerProblem {
     pub initial: Vec<f64>,
 }
 
-/// Build the stand-in for one of the paper's Euler datasets.
-/// `vertices` is typically one of
-/// [`cm5_mesh::meshgen::EULER_MESH_SIZES`]; `parts` is the machine size.
-pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
-    let mesh = euler_mesh(vertices);
+/// File-order block decomposition of an Euler mesh over `parts` nodes,
+/// and its two-ring halo.
+pub(crate) fn decompose(graph: &MeshGraph, parts: usize) -> Decomposition {
+    let vertices = graph.vertices();
     let nx = (vertices as f64).sqrt().ceil();
     // File-order block decomposition emulation: strip key = x + noise of
     // three strip widths (calibrated against Table 12's densities).
     let noise = 3.0 * nx / parts as f64;
-    let assignment = noisy_strips(mesh.points(), parts, noise, 0xB10C + vertices as u64);
-    let edges = mesh.edges();
-    let halo = Halo::build_k(parts, &assignment, &edges, 2);
+    let assignment = noisy_strips(graph.points(), parts, noise, 0xB10C + vertices as u64);
+    let halo = Halo::build_k(parts, &assignment, graph.edges(), 2);
     let pattern = halo.pattern(EULER_BYTES_PER_VALUE);
-    let n = mesh.num_points();
+    Decomposition {
+        assignment,
+        halo,
+        pattern,
+    }
+}
+
+/// Build the stand-in for one of the paper's Euler datasets.
+/// `vertices` is typically one of
+/// [`cm5_mesh::meshgen::EULER_MESH_SIZES`], whose meshes are memoized per
+/// process; other sizes triangulate a fresh mesh. `parts` is the machine
+/// size.
+pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
+    let graph = euler_graph(vertices);
+    let Decomposition {
+        assignment,
+        halo,
+        pattern,
+    } = decompose(&graph, parts);
+    let n = graph.vertices();
     let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(a, b) in &edges {
+    for &(a, b) in graph.edges() {
         adjacency[a].push(b);
         adjacency[b].push(a);
     }
@@ -76,7 +95,7 @@ pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
         .map(|i| {
             let v = i / EULER_VARS;
             let k = i % EULER_VARS;
-            let p = mesh.points()[v];
+            let p = graph.points()[v];
             // A smooth deterministic field with per-variable phase.
             (p.x * 0.11 + p.y * 0.07 + k as f64).sin()
         })
@@ -92,9 +111,10 @@ pub fn euler_problem(vertices: usize, parts: usize) -> EulerProblem {
     }
 }
 
-/// Just the communication pattern (Table 12's Euler columns).
+/// Just the communication pattern (Table 12's Euler columns): the
+/// partition and halo of the mesh, no adjacency or state.
 pub fn euler_pattern(vertices: usize, parts: usize) -> Pattern {
-    euler_problem(vertices, parts).pattern
+    decompose(&euler_graph(vertices), parts).pattern
 }
 
 /// One sequential iteration of the surrogate scheme, Jacobi-style:

@@ -6,7 +6,19 @@
 //!   mesh Laplacian — the "Conj. Grad. 16K" pattern of Table 12;
 //! * [`euler`]: the Euler-solver surrogate on unstructured meshes of
 //!   545/2K/3K/9K vertices — Table 12's other columns;
-//! * [`synthetic`]: the seeded random patterns of Table 11.
+//! * [`synthetic`]: the seeded random patterns of Table 11;
+//! * [`named`]: the five named mesh workloads (`cg`, `euler545`,
+//!   `euler2k`, `euler3k`, `euler9k`) and [`named_pattern`], the one
+//!   name → pattern table the CLI and `cm5 serve` share.
+//!
+//! Each named mesh graph (points plus sorted edge list, ~2 MB for all
+//! five) is triangulated at most once per process, on first use, and kept
+//! for the life of the process; the memo is bounded by construction, so it
+//! has no capacity, eviction or option. The first query for a name pays
+//! the triangulation (~80 ms for `cg`); every later `(name, n)` query only
+//! partitions the graph and extracts its halo. [`cg_problem`] and
+//! [`euler_problem`] read the same graphs through the same partition and
+//! halo code, so Table 12's patterns equal [`named_pattern`]'s.
 //!
 //! The distributed workloads are *numerically real*: payload bytes travel
 //! through the simulated network and results are verified against the
@@ -19,6 +31,7 @@ pub mod cg;
 pub mod euler;
 pub mod fft;
 pub mod inspector;
+pub mod named;
 pub mod synthetic;
 
 pub use cg::{cg_pattern, cg_problem, cg_seq, distributed_cg, CgProblem};
@@ -27,4 +40,5 @@ pub use euler::{
 };
 pub use fft::{dft_naive, distributed_fft2d, fft2d_programs, fft2d_seq, fft_inplace, C64};
 pub use inspector::{execute_gather, CommPlan, Distribution, Inspector};
+pub use named::{mesh_graph, named_pattern, MeshGraph, NamedWorkload, NAMED_WORKLOADS};
 pub use synthetic::{synthetic_pattern, synthetic_pattern_exact};
