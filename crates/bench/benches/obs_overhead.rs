@@ -3,9 +3,9 @@
 //!
 //! The disabled path must be in the noise — recording is guarded by one
 //! branch per event — and the enabled path documents the real cost of
-//! filling the trace ring and sampling per-link rates (expect a measurable
-//! but small constant factor; the trace also grows the report, so the
-//! enabled numbers include building those vectors).
+//! filling the trace vector and sampling per-link rates (expect a
+//! measurable but small constant factor; the enabled numbers include
+//! building those vectors).
 
 use cm5_core::{exec::exchange_programs, ExchangeAlg};
 use cm5_sim::{MachineParams, Simulation};
@@ -30,20 +30,6 @@ fn bench(c: &mut Criterion) {
                 black_box((report.messages, report.trace.len()))
             })
         });
-        // Bounded ring: same recording cost, constant memory.
-        g.bench_with_input(
-            BenchmarkId::new("enabled_ring_1k", n),
-            &programs,
-            |b, programs| {
-                let sim = Simulation::new(n, MachineParams::cm5_1992())
-                    .record_trace(true)
-                    .trace_capacity(1024);
-                b.iter(|| {
-                    let report = sim.run_ops(programs).unwrap();
-                    black_box((report.messages, report.trace_dropped))
-                })
-            },
-        );
     }
     g.finish();
 }

@@ -648,9 +648,7 @@ fn tenant_merged_schedule(
 /// `cm5 lint` — statically verify a schedule (deadlock freedom, byte
 /// conservation, step shape, predicted contention) without simulating it.
 fn cmd_lint(args: &Args) -> Result<(), String> {
-    use cm5_verify::{
-        broadcast_policy, exchange_policy, irregular_policy, verify_programs, verify_schedule,
-    };
+    use cm5_verify::{verify_programs, verify_schedule};
     args.check_flags(&[
         "alg",
         "n",
@@ -729,58 +727,13 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
         };
     }
 
-    // Single target: build (schedule, pattern, policy) from the algorithm
-    // family, mirroring the exchange/broadcast/irregular commands.
-    let n = args.usize_or("n", 32)?;
-    let bytes = args.u64_or("bytes", 1024)?;
     let name = args.get("alg").unwrap_or("bex");
-    let (schedule, pattern, mut opts) = match name {
-        "lex" | "pex" | "rex" | "bex" => {
-            let alg = match name {
-                "lex" => ExchangeAlg::Lex,
-                "pex" => ExchangeAlg::Pex,
-                "rex" => ExchangeAlg::Rex,
-                _ => ExchangeAlg::Bex,
-            };
-            (
-                alg.schedule(n, bytes),
-                Some(Pattern::complete_exchange(n, bytes)),
-                exchange_policy(alg),
-            )
-        }
-        "lib" | "reb" => {
-            let root = args.usize_or("root", 0)?;
-            let schedule = if name == "lib" {
-                lib_linear(n, root, bytes)
-            } else {
-                reb(n, root, bytes)
-            };
-            (schedule, None, broadcast_policy(BroadcastAlg::Recursive))
-        }
-        "ls" | "ps" | "bs" | "gs" | "crystal" => {
-            let pattern = match args.get("pattern-file") {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("could not read {path}: {e}"))?;
-                    Pattern::parse_text(&text)?
-                }
-                None => irregular_pattern(args, n)?,
-            };
-            let (schedule, opts) = match name {
-                "ls" => (ls(&pattern), irregular_policy(IrregularAlg::Ls)),
-                "ps" => (ps(&pattern), irregular_policy(IrregularAlg::Ps)),
-                "bs" => (bs(&pattern), irregular_policy(IrregularAlg::Bs)),
-                "gs" => (gs(&pattern), irregular_policy(IrregularAlg::Gs)),
-                _ => (crystal(&pattern), cm5_verify::VerifyOptions::default()),
-            };
-            (schedule, Some(pattern), opts)
-        }
-        other => {
-            return Err(format!(
-                "unknown --alg '{other}' (lex|pex|rex|bex|lib|reb|ls|ps|bs|gs|crystal)"
-            ))
-        }
-    };
+    let LintTarget {
+        name: target,
+        schedule,
+        pattern,
+        mut opts,
+    } = alg_target(args)?;
     opts.params = params;
     opts.lower.async_sends = args.has("async");
 
@@ -800,10 +753,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     };
 
     if sarif {
-        println!(
-            "{}",
-            cm5_verify::render_sarif(&[(format!("{name} n={}", schedule.n()), &report)])
-        );
+        println!("{}", cm5_verify::render_sarif(&[(target, &report)]));
     } else if json {
         println!("{}", report.render_json());
     } else {
@@ -864,7 +814,7 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
     let json = args.has("json");
 
     let params = machine(args)?;
-    let schedule = trace_schedule(args)?;
+    let schedule = alg_target(args)?.schedule;
     let opts = LowerOptions {
         async_sends: args.has("async"),
         ..Default::default()
@@ -969,19 +919,36 @@ fn cmd_certify(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Build the schedule a trace run will observe, mirroring `cm5 lint`'s
-/// single-target construction (same `--alg` vocabulary).
-fn trace_schedule(args: &Args) -> Result<Schedule, String> {
+/// The single target `--alg` names, shared by `cm5 lint`, `certify` and
+/// `trace`: the schedule, the pattern it must conserve and its family's
+/// verification policy.
+fn alg_target(args: &Args) -> Result<LintTarget, String> {
+    use cm5_verify::{broadcast_policy, exchange_policy, irregular_policy};
     let n = args.usize_or("n", 32)?;
     let bytes = args.u64_or("bytes", 1024)?;
     let name = args.get("alg").unwrap_or("bex");
-    match name {
-        "lex" => Ok(ExchangeAlg::Lex.schedule(n, bytes)),
-        "pex" => Ok(ExchangeAlg::Pex.schedule(n, bytes)),
-        "rex" => Ok(ExchangeAlg::Rex.schedule(n, bytes)),
-        "bex" => Ok(ExchangeAlg::Bex.schedule(n, bytes)),
-        "lib" => Ok(lib_linear(n, args.usize_or("root", 0)?, bytes)),
-        "reb" => Ok(reb(n, args.usize_or("root", 0)?, bytes)),
+    let exchange = |alg: ExchangeAlg| {
+        (
+            alg.schedule(n, bytes),
+            Some(Pattern::complete_exchange(n, bytes)),
+            exchange_policy(alg),
+        )
+    };
+    let (schedule, pattern, opts) = match name {
+        "lex" => exchange(ExchangeAlg::Lex),
+        "pex" => exchange(ExchangeAlg::Pex),
+        "rex" => exchange(ExchangeAlg::Rex),
+        "bex" => exchange(ExchangeAlg::Bex),
+        "lib" => (
+            lib_linear(n, args.usize_or("root", 0)?, bytes),
+            None,
+            broadcast_policy(BroadcastAlg::Linear),
+        ),
+        "reb" => (
+            reb(n, args.usize_or("root", 0)?, bytes),
+            None,
+            broadcast_policy(BroadcastAlg::Recursive),
+        ),
         "ls" | "ps" | "bs" | "gs" | "crystal" => {
             let pattern = match args.get("pattern-file") {
                 Some(path) => {
@@ -991,18 +958,27 @@ fn trace_schedule(args: &Args) -> Result<Schedule, String> {
                 }
                 None => irregular_pattern(args, n)?,
             };
-            Ok(match name {
-                "ls" => ls(&pattern),
-                "ps" => ps(&pattern),
-                "bs" => bs(&pattern),
-                "gs" => gs(&pattern),
-                _ => crystal(&pattern),
-            })
+            let (schedule, opts) = match name {
+                "ls" => (ls(&pattern), irregular_policy(IrregularAlg::Ls)),
+                "ps" => (ps(&pattern), irregular_policy(IrregularAlg::Ps)),
+                "bs" => (bs(&pattern), irregular_policy(IrregularAlg::Bs)),
+                "gs" => (gs(&pattern), irregular_policy(IrregularAlg::Gs)),
+                _ => (crystal(&pattern), cm5_verify::VerifyOptions::default()),
+            };
+            (schedule, Some(pattern), opts)
         }
-        other => Err(format!(
-            "unknown --alg '{other}' (lex|pex|rex|bex|lib|reb|ls|ps|bs|gs|crystal)"
-        )),
-    }
+        other => {
+            return Err(format!(
+                "unknown --alg '{other}' (lex|pex|rex|bex|lib|reb|ls|ps|bs|gs|crystal)"
+            ))
+        }
+    };
+    Ok(LintTarget::new(
+        format!("{name} n={}", schedule.n()),
+        schedule,
+        pattern,
+        opts,
+    ))
 }
 
 /// `cm5 trace` — run one schedule with the trace and rate sinks enabled and
@@ -1028,7 +1004,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         "width",
     ])?;
     let params = machine(args)?;
-    let schedule = trace_schedule(args)?;
+    let schedule = alg_target(args)?.schedule;
     let n = schedule.n();
     let width = args.usize_or("width", 64)?;
     let topo = topology(args, n)?;
@@ -1071,9 +1047,6 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
         spans.steps.len(),
         spans.solver_events.len()
     );
-    if report.trace_dropped > 0 {
-        println!("trace ring : {} events dropped", report.trace_dropped);
-    }
     let latency = &metrics.histograms["message_latency_ns"];
     println!(
         "latency    : mean {:.1} us, max {:.1} us over {} messages",
@@ -1128,7 +1101,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "flight-dir",
         "flight-cap",
         "slo-ms",
-        "trace-ring",
     ])?;
 
     // Record mode: write a deterministic query trace and exit.
@@ -1150,10 +1122,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let trace_ring = match args.get("trace-ring") {
-        Some(_) => Some(args.usize_or("trace-ring", 0)?),
-        None => None,
-    };
     let flight_slo_ms = match args.get("slo-ms") {
         Some(_) => Some(args.u64_or("slo-ms", 0)?),
         None => None,
@@ -1161,7 +1129,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let service = Service::new(ServiceConfig {
         params,
         shards,
-        trace_ring,
         flight_capacity: args.usize_or("flight-cap", 64)?,
         flight_slo_ms,
         flight_dir: args.get("flight-dir").map(std::path::PathBuf::from),
@@ -1327,7 +1294,7 @@ USAGE:
   cm5 serve     --replay PATH [--qps N] [--jobs N] [--shards N] [--out PATH]
                 [--metrics-json PATH] [--spans-out PATH] [--trace-out PATH]
                 [--metrics-out PATH]
-                [--flight-dir DIR] [--flight-cap N] [--slo-ms MS] [--trace-ring N]
+                [--flight-dir DIR] [--flight-cap N] [--slo-ms MS]
 
 `--alg auto` asks the cm5-model cost models to pick; `cm5 advise` prints
 the prediction table without running the simulator.
@@ -1360,9 +1327,7 @@ trace (one track per worker), `--metrics-out` live JSON snapshots
 clock, never diffed). `GET /metrics` on the `--tcp` listener serves
 Prometheus text. The flight recorder keeps the last `--flight-cap`
 spanned queries; erroring (and, with `--slo-ms`, slow) queries dump
-deterministic `cm5-flight/1` files into `--flight-dir`. `--trace-ring N`
-bounds each simulation's event ring; overflow counts surface as the
-deterministic `sim_trace_dropped` counter.
+deterministic `cm5-flight/1` files into `--flight-dir`.
 `cm5 trace` reruns one schedule with the trace and rate sinks on and
 exports the observability views: `--out` writes Chrome Trace Format JSON
 (Perfetto / chrome://tracing), `--timeline` draws a per-node Gantt chart,
@@ -1575,6 +1540,13 @@ mod tests {
         assert!(dispatch(&argv("serve --replya trace.jsonl")).is_err());
         assert!(dispatch(&argv("serve --record /tmp/t.jsonl --mix bogus")).is_err());
         assert!(dispatch(&argv("serve --replay /nonexistent/trace.jsonl")).is_err());
+        let record = std::env::temp_dir().join("t.jsonl");
+        let err = dispatch(&argv(&format!(
+            "serve --record {} --trace-ring 8",
+            record.display()
+        )))
+        .unwrap_err();
+        assert!(err.starts_with("unknown flag '--trace-ring'"), "{err}");
     }
 
     #[test]

@@ -116,7 +116,6 @@ impl Metrics {
         m.counters.insert("root_crossings", report.root_crossings);
         m.counters.insert("collectives", report.collectives);
         m.counters.insert("trace_events", report.trace.len() as u64);
-        m.counters.insert("trace_dropped", report.trace_dropped);
         m.counters
             .insert("solver_recomputes", spans.solver_events.len() as u64);
         m.counters
@@ -246,7 +245,6 @@ mod tests {
             .unwrap();
         let m = Metrics::from_report(&report);
         assert_eq!(m.counters["messages"], 3);
-        assert_eq!(m.counters["trace_dropped"], 0);
         assert!(m.counters["solver_recomputes"] > 0);
         assert!(m.gauges["makespan_us"] > 0.0);
         assert!(m.gauges["effective_bandwidth_mb_s"] > 0.0);

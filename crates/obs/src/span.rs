@@ -88,10 +88,10 @@ pub struct SpanStore {
     pub node_done: Vec<(usize, SimTime)>,
     /// Instants the flow solver re-divided bandwidth (from rate samples).
     pub solver_events: Vec<SimTime>,
-    /// `MsgStart` events with no matching `MsgDone` (bounded-ring eviction
-    /// or a truncated trace); their transfers are not turned into spans.
+    /// `MsgStart` events with no matching `MsgDone` (a truncated trace);
+    /// their transfers are not turned into spans.
     pub unmatched_starts: usize,
-    /// `MsgDone` events whose `MsgStart` was evicted.
+    /// `MsgDone` events with no preceding `MsgStart`.
     pub unmatched_dones: usize,
 }
 

@@ -54,12 +54,6 @@ pub struct ServiceConfig {
     pub params: MachineParams,
     /// Advisor-cache and verify-memo shard count (≥ 1).
     pub shards: usize,
-    /// Record simulate-mode queries' event traces into a bounded ring of
-    /// this capacity ([`cm5_sim::Simulation::trace_capacity`]). Evictions
-    /// accumulate into the deterministic `sim_trace_dropped` counter;
-    /// tracing never changes simulated results. `None` (default) disables
-    /// tracing.
-    pub trace_ring: Option<usize>,
     /// Flight-recorder ring capacity: how many recent fully-spanned
     /// queries are retained.
     pub flight_capacity: usize,
@@ -77,7 +71,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             params: MachineParams::cm5_1992(),
             shards: 8,
-            trace_ring: None,
             flight_capacity: 64,
             flight_slo_ms: None,
             flight_dir: None,
@@ -124,13 +117,11 @@ pub struct Timing {
 #[derive(Debug)]
 pub struct Service {
     params: MachineParams,
-    trace_ring: Option<usize>,
     advisor: Advisor,
     verify_memo: Vec<Mutex<HashMap<u64, VerifySummary>>>,
     counters: Counters,
     predicted_ns: Mutex<Histogram>,
     sim_makespan_ns: Mutex<Histogram>,
-    sim_trace_dropped: AtomicU64,
     spans_observed: AtomicU64,
     timing: Timing,
     flight: Mutex<FlightRecorder>,
@@ -156,13 +147,11 @@ impl Service {
         }
         Service {
             params: config.params,
-            trace_ring: config.trace_ring,
             advisor: Advisor::with_shards(shards),
             verify_memo: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             counters: Counters::default(),
             predicted_ns: Mutex::new(Histogram::default()),
             sim_makespan_ns: Mutex::new(Histogram::default()),
-            sim_trace_dropped: AtomicU64::new(0),
             spans_observed: AtomicU64::new(0),
             timing: Timing::default(),
             flight: Mutex::new(flight),
@@ -513,16 +502,10 @@ impl Service {
         self.check_sim_size(n)?;
         self.counters.simulations.fetch_add(1, Ordering::Relaxed);
         let t = ctx.start();
-        let mut sim = Simulation::new(n, self.params.clone());
-        if let Some(cap) = self.trace_ring {
-            sim = sim.record_trace(true).trace_capacity(cap);
-        }
-        let report = sim.run_ops(programs).map_err(|e| e.to_string())?;
+        let report = Simulation::new(n, self.params.clone())
+            .run_ops(programs)
+            .map_err(|e| e.to_string())?;
         ctx.phase(PhaseKind::Simulate, &format!("n={n}"), t);
-        // Per-query drop counts are a pure function of the query, so this
-        // sum is deterministic for a given request set.
-        self.sim_trace_dropped
-            .fetch_add(report.trace_dropped, Ordering::Relaxed);
         self.sim_makespan_ns
             .lock()
             .expect("hist poisoned")
@@ -616,10 +599,6 @@ impl Service {
         m.counters
             .insert("verify_requests", get(&c.verify_requests));
         m.counters.insert("simulations", get(&c.simulations));
-        // Sum over queries of each simulation's own (bit-identical) drop
-        // count — order-independent, so deterministic at any worker count.
-        m.counters
-            .insert("sim_trace_dropped", get(&self.sim_trace_dropped));
 
         // Hit counts are derived, not sampled: `queries − distinct keys`
         // is a pure function of the request set, immune to which racing

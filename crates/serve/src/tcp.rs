@@ -13,6 +13,8 @@
 //!   stop flag on a short timeout, and shutdown joins the accept loop
 //!   *and* every connection thread before returning, so callers can flush
 //!   final metrics/flight state knowing no request is still in flight.
+//!   Finished connection threads are reaped on each accept, so a
+//!   long-running listener holds handles only for live connections.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -75,7 +77,11 @@ pub fn spawn_tcp(service: Arc<Service>, addr: &str) -> std::io::Result<TcpHandle
                     let stop = Arc::clone(&stop2);
                     let handle =
                         std::thread::spawn(move || serve_connection(&service, stream, &stop));
-                    conns2.lock().expect("conn registry poisoned").push(handle);
+                    // Reap finished connections so the registry holds only
+                    // live threads, not every connection since start.
+                    let mut conns = conns2.lock().expect("conn registry poisoned");
+                    conns.retain(|h| !h.is_finished());
+                    conns.push(handle);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -234,6 +240,41 @@ mod tests {
         assert!(response.starts_with("HTTP/1.0 404"), "{response}");
 
         handle.shutdown();
+    }
+
+    #[test]
+    fn finished_connections_are_reaped_on_accept() {
+        let service = Arc::new(Service::new(ServiceConfig::default()));
+        let handle = spawn_tcp(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let round_trip = |conn: &mut TcpStream| {
+            conn.write_all(b"{\"id\":1,\"query\":{\"kind\":\"exchange\",\"n\":8,\"bytes\":64}}\n")
+                .unwrap();
+            let mut line = String::new();
+            BufReader::new(conn.try_clone().unwrap())
+                .read_line(&mut line)
+                .unwrap();
+            assert!(line.contains("\"ok\":true"), "{line}");
+        };
+        for _ in 0..40 {
+            let mut conn = TcpStream::connect(handle.addr).unwrap();
+            round_trip(&mut conn);
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            // EOF: the server closed its side, so the thread is exiting.
+            assert_eq!(conn.read(&mut [0u8; 1]).unwrap(), 0);
+        }
+        // One live connection; its accept reaps the finished ones. At most
+        // one thread may still be winding down at that instant.
+        let mut live = TcpStream::connect(handle.addr).unwrap();
+        round_trip(&mut live);
+        let held = handle.conns.lock().unwrap().len();
+        assert!(
+            held <= 2,
+            "registry holds {held} handles for 1 live connection"
+        );
+
+        handle.shutdown();
+        assert_eq!(service.metrics().counters["requests"], 41);
+        drop(live);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! `tests/integration_cmmd.rs` checks.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use crate::engine::Simulation;
 use crate::error::SimError;
@@ -388,7 +387,7 @@ impl Simulation {
                     let req = node.req.clone();
                     match catch_unwind(AssertUnwindSafe(|| body(&node))) {
                         Ok(value) => {
-                            *slot.lock() = Some(value);
+                            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
                             let _ = req.send(Action::Done);
                         }
                         Err(payload) => {
@@ -406,7 +405,11 @@ impl Simulation {
         })?;
         let outputs = results
             .into_iter()
-            .map(|m| m.into_inner().expect("finished node without a result"))
+            .map(|m| {
+                m.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("finished node without a result")
+            })
             .collect();
         Ok((report, outputs))
     }

@@ -22,7 +22,7 @@ use crate::error::SimError;
 use crate::network::{Flow, Network};
 use crate::ops::{Action, OpProgram, OpSource, ProgramSource, ReduceOp, Resume};
 use crate::params::{MachineParams, RateSolver, SendMode};
-use crate::stats::{NodeReport, SimPerf, SimReport, TraceEvent, TraceKind, TraceRing};
+use crate::stats::{NodeReport, SimPerf, SimReport, TraceEvent, TraceKind};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{FatTree, Topology};
 
@@ -45,7 +45,6 @@ pub struct Simulation {
     n: usize,
     params: MachineParams,
     record_trace: bool,
-    trace_capacity: Option<usize>,
     record_rates: bool,
     topology: Topology,
 }
@@ -58,7 +57,6 @@ impl Simulation {
             n,
             params,
             record_trace: false,
-            trace_capacity: None,
             record_rates: false,
             topology: Topology::FatTree(FatTree::new(n)),
         }
@@ -73,23 +71,15 @@ impl Simulation {
             n,
             params,
             record_trace: false,
-            trace_capacity: None,
             record_rates: false,
             topology,
         }
     }
 
-    /// Enable the event trace in the returned report.
+    /// Record every engine event into [`SimReport::trace`], unbounded.
+    /// `cm5-obs` turns the trace into spans, exports and metrics.
     pub fn record_trace(mut self, yes: bool) -> Simulation {
         self.record_trace = yes;
-        self
-    }
-
-    /// Bound the trace sink to the most recent `cap` events (a ring buffer;
-    /// evictions are counted in [`SimReport::trace_dropped`]). Unbounded by
-    /// default. Only meaningful together with [`Simulation::record_trace`].
-    pub fn trace_capacity(mut self, cap: usize) -> Simulation {
-        self.trace_capacity = Some(cap.max(1));
         self
     }
 
@@ -133,7 +123,6 @@ impl Simulation {
         self.params.validate().map_err(SimError::InvalidParams)?;
         let obs = ObsConfig {
             record_trace: self.record_trace,
-            trace_capacity: self.trace_capacity,
             record_rates: self.record_rates,
         };
         let mut engine = Engine::new(self.topology.clone(), &self.params, obs, source);
@@ -147,7 +136,6 @@ impl Simulation {
 #[derive(Debug, Clone, Copy, Default)]
 struct ObsConfig {
     record_trace: bool,
-    trace_capacity: Option<usize>,
     record_rates: bool,
 }
 
@@ -311,7 +299,7 @@ struct Engine<'a, S: ProgramSource> {
     /// sends) and the running peak — the occupancy differential.
     buf_cur: Vec<u64>,
     buf_peak: Vec<u64>,
-    trace: TraceRing,
+    trace: Vec<TraceEvent>,
     record_trace: bool,
 }
 
@@ -375,12 +363,12 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             collectives_done: 0,
             buf_cur: vec![0; n],
             buf_peak: vec![0; n],
-            trace: match (obs.record_trace, obs.trace_capacity) {
-                (false, _) => TraceRing::default(),
-                (true, Some(cap)) => TraceRing::bounded(cap),
-                // MsgStart + MsgDone + sender/receiver BlockedEnd per
-                // message, NodeDone per node (capacity hint only).
-                (true, None) => TraceRing::unbounded(4 * shape.messages as usize + 2 * n),
+            // MsgStart + MsgDone + sender/receiver BlockedEnd per message,
+            // NodeDone per node (capacity hint only).
+            trace: if obs.record_trace {
+                Vec::with_capacity(4 * shape.messages as usize + 2 * n)
+            } else {
+                Vec::new()
             },
             record_trace: obs.record_trace,
         }
@@ -502,8 +490,7 @@ impl<'a, S: ProgramSource> Engine<'a, S> {
             root_crossings: self.root_crossings,
             bytes_per_level: self.network.bytes_per_level(),
             collectives: self.collectives_done,
-            trace: self.trace.take_events(),
-            trace_dropped: self.trace.dropped(),
+            trace: std::mem::take(&mut self.trace),
             rate_samples: self.network.take_rate_samples(),
             buffer_peak: self.buf_peak.clone(),
             perf: SimPerf {

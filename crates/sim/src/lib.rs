@@ -81,14 +81,13 @@ pub mod stats;
 pub mod tenant;
 pub mod time;
 pub mod topology;
-pub mod trace;
 
 pub use cmmd::{CmmdNode, Received, SendHandle};
 pub use engine::Simulation;
 pub use error::SimError;
 pub use ops::{Op, OpProgram, ReduceOp, ANY_TAG};
 pub use params::{FairnessModel, MachineParams, RateSolver, SendMode};
-pub use stats::{NodeReport, RateSample, SimPerf, SimReport, TraceEvent, TraceKind, TraceRing};
+pub use stats::{NodeReport, RateSample, SimPerf, SimReport, TraceEvent, TraceKind};
 pub use tenant::{run_tenants, Placement, TenantLayout, TenantReport, TenantSlice, TenantSpec};
 pub use time::{SimDuration, SimTime};
 pub use topology::{FatTree, Hypercube, LinkDir, LinkId, RouteRef, RouteTable, Topology};

@@ -1,4 +1,6 @@
-//! Per-run statistics and the optional event trace.
+//! Per-run statistics and the optional event trace: one flat
+//! [`TraceEvent`] vector, recorded in full when enabled and analysed by
+//! `cm5-obs`.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -71,9 +73,6 @@ pub struct SimReport {
     /// Optional event trace (enabled via
     /// [`crate::engine::Simulation::record_trace`]).
     pub trace: Vec<TraceEvent>,
-    /// Events evicted from a bounded trace ring
-    /// ([`crate::engine::Simulation::trace_capacity`]); 0 when unbounded.
-    pub trace_dropped: u64,
     /// Piecewise-constant per-link rate samples from the flow solver
     /// (enabled via [`crate::engine::Simulation::record_rates`]); one entry
     /// per rate recomputation, empty when disabled.
@@ -181,122 +180,4 @@ pub enum TraceKind {
         /// The node.
         node: usize,
     },
-}
-
-/// Preallocated trace sink. Unbounded rings behave like a plain vector;
-/// bounded rings overwrite the oldest event once full and count evictions,
-/// so long runs can keep a tail window of the trace at fixed memory cost.
-#[derive(Debug, Clone, Default)]
-pub struct TraceRing {
-    buf: Vec<TraceEvent>,
-    /// 0 = unbounded.
-    cap: usize,
-    /// Index of the oldest event once the bounded buffer has wrapped.
-    head: usize,
-    dropped: u64,
-}
-
-impl TraceRing {
-    /// An unbounded ring preallocated for about `hint` events.
-    pub fn unbounded(hint: usize) -> TraceRing {
-        TraceRing {
-            buf: Vec::with_capacity(hint),
-            cap: 0,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// A bounded ring holding the most recent `cap` events (`cap ≥ 1`).
-    pub fn bounded(cap: usize) -> TraceRing {
-        assert!(cap >= 1, "bounded trace ring needs capacity >= 1");
-        TraceRing {
-            buf: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-            dropped: 0,
-        }
-    }
-
-    /// Append an event, evicting the oldest when a bounded ring is full.
-    pub fn push(&mut self, ev: TraceEvent) {
-        if self.cap == 0 || self.buf.len() < self.cap {
-            self.buf.push(ev);
-        } else {
-            self.buf[self.head] = ev;
-            self.head = (self.head + 1) % self.cap;
-            self.dropped += 1;
-        }
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted so far (always 0 for unbounded rings).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drain the ring into a vector in recording order (oldest first).
-    pub fn take_events(&mut self) -> Vec<TraceEvent> {
-        let mut out = std::mem::take(&mut self.buf);
-        if self.head > 0 {
-            out.rotate_left(self.head);
-            self.head = 0;
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ev(ns: u64) -> TraceEvent {
-        TraceEvent {
-            time: SimTime::ZERO + SimDuration::from_nanos(ns),
-            kind: TraceKind::NodeDone { node: ns as usize },
-        }
-    }
-
-    #[test]
-    fn unbounded_ring_keeps_everything() {
-        let mut r = TraceRing::unbounded(2);
-        for i in 0..5 {
-            r.push(ev(i));
-        }
-        assert_eq!(r.len(), 5);
-        assert_eq!(r.dropped(), 0);
-        let out = r.take_events();
-        assert_eq!(out.len(), 5);
-        assert_eq!(out[0], ev(0));
-        assert_eq!(out[4], ev(4));
-    }
-
-    #[test]
-    fn bounded_ring_keeps_the_tail_in_order() {
-        let mut r = TraceRing::bounded(3);
-        for i in 0..7 {
-            r.push(ev(i));
-        }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 4);
-        assert_eq!(r.take_events(), vec![ev(4), ev(5), ev(6)]);
-    }
-
-    #[test]
-    fn bounded_ring_below_capacity_is_plain() {
-        let mut r = TraceRing::bounded(8);
-        r.push(ev(1));
-        r.push(ev(2));
-        assert_eq!(r.dropped(), 0);
-        assert_eq!(r.take_events(), vec![ev(1), ev(2)]);
-    }
 }

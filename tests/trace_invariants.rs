@@ -1,101 +1,111 @@
-//! Invariants of the trace profile ([`cm5_sim::trace`]) and the schedule
-//! shape metrics ([`cm5_core::analysis`]), checked on a known workload:
-//! PEX complete exchange on 8 nodes.
+//! Invariants of a recorded trace, read through `cm5-obs`'s span store,
+//! and of the schedule shape metrics ([`cm5_core::analysis`]), checked on
+//! known workloads: PEX complete exchange on 8 nodes, disjoint pairs and
+//! a fan-in to one receiver.
 //!
 //! PEX at 8 nodes is small enough to reason about exactly — 7 pairwise
-//! XOR steps, every node sending and receiving once per step — while
-//! exercising every field of [`TraceProfile`] with real contention.
+//! XOR steps, every node sending and receiving once per step.
 
 use cm5_core::prelude::*;
-use cm5_sim::trace::{profile, TraceProfile};
-use cm5_sim::{MachineParams, SimReport, Simulation};
+use cm5_obs::{MessageSpan, SpanStore};
+use cm5_sim::{MachineParams, Op, SimReport, Simulation, ANY_TAG};
 
 const N: usize = 8;
 
-fn traced_pex(bytes: u64) -> (SimReport, TraceProfile) {
+fn traced_pex(bytes: u64) -> (SimReport, SpanStore) {
     let schedule = ExchangeAlg::Pex.schedule(N, bytes);
     let report = Simulation::new(N, MachineParams::cm5_1992())
         .record_trace(true)
         .run_ops(&lower(&schedule))
         .expect("pex run");
-    let prof = profile(&report.trace, N);
-    (report, prof)
-}
-
-#[test]
-fn spans_are_contiguous_and_well_formed() {
-    let (_, prof) = traced_pex(512);
-    assert!(!prof.spans.is_empty());
-    for span in &prof.spans {
-        assert!(
-            span.from < span.to,
-            "empty or inverted span {:?}..{:?}",
-            span.from,
-            span.to
-        );
-    }
-    for pair in prof.spans.windows(2) {
-        assert_eq!(
-            pair[0].to, pair[1].from,
-            "concurrency profile must tile time with no gaps"
-        );
-    }
-}
-
-#[test]
-fn peak_equals_max_over_spans() {
-    let (_, prof) = traced_pex(512);
-    let max = prof.spans.iter().map(|s| s.concurrent).max().unwrap();
-    assert_eq!(prof.peak_concurrency, max);
-    // Pairwise steps run disjoint pairs concurrently.
-    assert!(prof.peak_concurrency >= 2, "peak {}", prof.peak_concurrency);
-    // Never more in flight than messages exist.
-    assert!(prof.peak_concurrency as u64 <= N as u64 * (N as u64 - 1));
-}
-
-#[test]
-fn mean_and_busy_time_recompute_from_spans() {
-    let (_, prof) = traced_pex(512);
-    let mut weighted = 0.0f64;
-    let mut total = 0u64;
-    let mut busy = 0u64;
-    for s in &prof.spans {
-        let dur = (s.to - s.from).as_nanos();
-        total += dur;
-        weighted += s.concurrent as f64 * dur as f64;
-        if s.concurrent > 0 {
-            busy += dur;
-        }
-    }
-    let mean = weighted / total as f64;
-    assert!(
-        (prof.mean_concurrency - mean).abs() < 1e-9,
-        "mean {} vs recomputed {mean}",
-        prof.mean_concurrency
-    );
-    assert_eq!(prof.busy_network_time.as_nanos(), busy);
-    assert!(busy <= total);
+    let spans = SpanStore::from_report(&report);
+    (report, spans)
 }
 
 #[test]
 fn pex_sends_and_receives_are_uniform() {
     // Complete exchange: every node sends to and receives from each of
     // the other N-1 nodes exactly once.
-    let (report, prof) = traced_pex(256);
-    assert_eq!(prof.sends_per_node, vec![(N - 1) as u64; N]);
-    assert_eq!(prof.recvs_per_node, vec![(N - 1) as u64; N]);
+    let (report, spans) = traced_pex(256);
+    let mut sends = vec![0u64; N];
+    let mut recvs = vec![0u64; N];
+    for m in &spans.messages {
+        sends[m.src] += 1;
+        recvs[m.dst] += 1;
+    }
+    assert_eq!(sends, vec![(N - 1) as u64; N]);
+    assert_eq!(recvs, vec![(N - 1) as u64; N]);
     assert_eq!(report.messages, (N * (N - 1)) as u64);
 }
 
 #[test]
-fn profile_spans_cover_every_delivery() {
-    // The in-flight count integrates to (number of messages) x (mean
-    // transfer duration); at minimum, total span time with traffic must
-    // be positive and end no later than the makespan.
-    let (report, prof) = traced_pex(1024);
-    assert!(prof.busy_network_time.as_nanos() > 0);
-    let last = prof.spans.last().unwrap();
-    assert!(last.to <= cm5_sim::SimTime::ZERO + report.makespan);
+fn message_spans_cover_every_delivery() {
+    // One span per delivered message, none left unpaired, each well
+    // formed and ending no later than the makespan.
+    let (report, spans) = traced_pex(1024);
+    assert_eq!(spans.messages.len() as u64, report.messages);
+    assert_eq!((spans.unmatched_starts, spans.unmatched_dones), (0, 0));
+    for m in &spans.messages {
+        assert!(m.from < m.to, "empty or inverted span {m:?}");
+    }
+    assert!(spans.end() <= cm5_sim::SimTime::ZERO + report.makespan);
+}
+
+/// Message spans of a traced run of raw op programs.
+fn message_spans(programs: &[Vec<Op>]) -> Vec<MessageSpan> {
+    let report = Simulation::new(programs.len(), MachineParams::cm5_1992())
+        .record_trace(true)
+        .run_ops(programs)
+        .expect("traced run");
+    SpanStore::from_report(&report).messages
+}
+
+#[test]
+fn parallel_pairs_overlap() {
+    // Two disjoint pairs exchange large messages simultaneously.
+    let mut p = vec![Vec::new(); 4];
+    for (a, b) in [(0usize, 1usize), (2, 3)] {
+        p[a].push(Op::Recv {
+            from: b,
+            tag: ANY_TAG,
+        });
+        p[b].push(Op::Send {
+            to: a,
+            bytes: 50_000,
+            tag: ANY_TAG,
+        });
+    }
+    let spans = message_spans(&p);
+    assert_eq!(spans.len(), 2);
+    let (x, y) = (&spans[0], &spans[1]);
+    assert!(
+        x.from < y.to && y.from < x.to,
+        "{x:?} and {y:?} must overlap"
+    );
+}
+
+#[test]
+fn serialized_fan_in_never_overlaps() {
+    // Rendezvous at a single receiver admits one transfer at a time.
+    let n = 6;
+    let mut p = vec![Vec::new(); n];
+    for i in 1..n {
+        p[0].push(Op::Recv {
+            from: i,
+            tag: ANY_TAG,
+        });
+        p[i].push(Op::Send {
+            to: 0,
+            bytes: 5_000,
+            tag: ANY_TAG,
+        });
+    }
+    let mut spans = message_spans(&p);
+    assert_eq!(spans.len(), n - 1);
+    spans.sort_by_key(|m| m.from);
+    for pair in spans.windows(2) {
+        assert!(pair[0].to <= pair[1].from, "{pair:?} overlap");
+    }
 }
 
 #[test]
