@@ -1098,10 +1098,16 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "spans-out",
         "trace-out",
         "metrics-out",
-        "flight-dir",
-        "flight-cap",
-        "slo-ms",
     ])?;
+    if args.get("replay").is_none() {
+        for flag in ["spans-out", "trace-out"] {
+            if args.get(flag).is_some() {
+                return Err(format!(
+                    "--{flag} exports a replay's spans; it needs --replay"
+                ));
+            }
+        }
+    }
 
     // Record mode: write a deterministic query trace and exit.
     if let Some(path) = args.get("record") {
@@ -1122,17 +1128,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if shards == 0 {
         return Err("--shards must be at least 1".into());
     }
-    let flight_slo_ms = match args.get("slo-ms") {
-        Some(_) => Some(args.u64_or("slo-ms", 0)?),
-        None => None,
-    };
-    let service = Service::new(ServiceConfig {
-        params,
-        shards,
-        flight_capacity: args.usize_or("flight-cap", 64)?,
-        flight_slo_ms,
-        flight_dir: args.get("flight-dir").map(std::path::PathBuf::from),
-    });
+    let service = Service::new(ServiceConfig { params, shards });
 
     // Replay mode: drive a recorded trace through the worker pool and
     // report sustained QPS.
@@ -1254,18 +1250,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("could not write {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    // Interactive exports cover the flight ring (the last `--flight-cap`
-    // queries); replay mode exports the full span set instead.
-    if let Some(spath) = args.get("spans-out") {
-        std::fs::write(spath, cm5_obs::spans_json(&service.recent_spans()))
-            .map_err(|e| format!("could not write {spath}: {e}"))?;
-        eprintln!("wrote {spath}");
-    }
-    if let Some(tpath) = args.get("trace-out") {
-        std::fs::write(tpath, cm5_obs::spans_chrome_trace(&service.recent_spans()))
-            .map_err(|e| format!("could not write {tpath}: {e}"))?;
-        eprintln!("wrote {tpath}");
-    }
     Ok(())
 }
 
@@ -1294,7 +1278,6 @@ USAGE:
   cm5 serve     --replay PATH [--qps N] [--jobs N] [--shards N] [--out PATH]
                 [--metrics-json PATH] [--spans-out PATH] [--trace-out PATH]
                 [--metrics-out PATH]
-                [--flight-dir DIR] [--flight-cap N] [--slo-ms MS]
 
 `--alg auto` asks the cm5-model cost models to pick; `cm5 advise` prints
 the prediction table without running the simulator.
@@ -1319,15 +1302,14 @@ query trace, `--replay` drives one through a worker pool and reports
 sustained queries/sec. `cm5 advise --json` prints the same
 `cm5-advise/1` document the service returns.
 Service telemetry: every query carries a request span with typed child
-phases (parse, advise-hit/miss, verify, simulate, render). `--spans-out`
-writes the canonical `cm5-serve-spans/1` document (deterministic: byte-
-identical at any --jobs), `--trace-out` the `cm5-serve-trace/1` Chrome
-trace (one track per worker), `--metrics-out` live JSON snapshots
+phases (parse, advise-hit/miss, verify, simulate, render). Under
+`--replay`, `--spans-out` writes every query's span in the canonical
+`cm5-serve-spans/1` document (deterministic: byte-identical at any
+--jobs) and `--trace-out` the `cm5-serve-trace/1` Chrome trace (one
+track per worker). `--metrics-out` writes live JSON snapshots
 (rewritten every second under `--tcp`, final flush at shutdown; wall-
 clock, never diffed). `GET /metrics` on the `--tcp` listener serves
-Prometheus text. The flight recorder keeps the last `--flight-cap`
-spanned queries; erroring (and, with `--slo-ms`, slow) queries dump
-deterministic `cm5-flight/1` files into `--flight-dir`.
+Prometheus text.
 `cm5 trace` reruns one schedule with the trace and rate sinks on and
 exports the observability views: `--out` writes Chrome Trace Format JSON
 (Perfetto / chrome://tracing), `--timeline` draws a per-node Gantt chart,
@@ -1497,15 +1479,13 @@ mod tests {
         let spans = dir.join("spans.json");
         let chrome = dir.join("trace.json");
         let live = dir.join("live.json");
-        let flights = dir.join("flights");
         dispatch(&argv(&format!(
             "serve --replay {trace_s} --jobs 2 --out {} \
-             --spans-out {} --trace-out {} --metrics-out {} --flight-dir {} --slo-ms 0",
+             --spans-out {} --trace-out {} --metrics-out {}",
             out.to_str().unwrap(),
             spans.to_str().unwrap(),
             chrome.to_str().unwrap(),
             live.to_str().unwrap(),
-            flights.to_str().unwrap(),
         )))
         .unwrap();
         let responses = std::fs::read_to_string(&out).unwrap();
@@ -1529,8 +1509,6 @@ mod tests {
             total.get("count").and_then(cm5_serve::Json::as_f64),
             Some(20.0)
         );
-        // --slo-ms 0 trips the flight recorder on every query.
-        assert_eq!(std::fs::read_dir(&flights).unwrap().count(), 20);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1541,12 +1519,19 @@ mod tests {
         assert!(dispatch(&argv("serve --record /tmp/t.jsonl --mix bogus")).is_err());
         assert!(dispatch(&argv("serve --replay /nonexistent/trace.jsonl")).is_err());
         let record = std::env::temp_dir().join("t.jsonl");
-        let err = dispatch(&argv(&format!(
-            "serve --record {} --trace-ring 8",
-            record.display()
-        )))
-        .unwrap_err();
-        assert!(err.starts_with("unknown flag '--trace-ring'"), "{err}");
+        for flag in ["--trace-ring", "--flight-dir", "--flight-cap", "--slo-ms"] {
+            let err = dispatch(&argv(&format!(
+                "serve --record {} {flag} 8",
+                record.display()
+            )))
+            .unwrap_err();
+            assert!(err.starts_with(&format!("unknown flag '{flag}'")), "{err}");
+        }
+        // Span exports cover a replay's complete span set only.
+        for flag in ["--spans-out", "--trace-out"] {
+            let err = dispatch(&argv(&format!("serve {flag} x.json"))).unwrap_err();
+            assert!(err.contains("--replay"), "{err}");
+        }
     }
 
     #[test]

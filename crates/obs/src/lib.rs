@@ -17,8 +17,7 @@
 //! * [`prom`] — Prometheus text exposition for a metrics registry plus an
 //!   offline linter for the format;
 //! * [`svc`] — service telemetry: per-query request spans threaded through
-//!   `cm5-serve`, canonical + Chrome-trace exports, and the flight
-//!   recorder;
+//!   `cm5-serve`, with canonical and Chrome-trace exports;
 //! * [`timeline`] — terminal Gantt charts and utilization sparklines;
 //! * [`schema`] — the shared `"schema"` version stamp used by every JSON
 //!   artifact in the workspace.
@@ -45,8 +44,5 @@ pub use metrics::{Histogram, Metrics, HISTOGRAM_BUCKETS};
 pub use prom::{lint_prometheus, prometheus_text};
 pub use schema::{schema_field, schema_id, SCHEMA_KEY};
 pub use span::{BlockedSpan, CollectiveSpan, MessageSpan, SpanStore, StepSpan};
-pub use svc::{
-    flight_json, spans_chrome_trace, spans_json, FlightRecorder, PhaseKind, PhaseSpan, QueryCtx,
-    QuerySpan,
-};
+pub use svc::{spans_chrome_trace, spans_json, PhaseKind, PhaseSpan, QueryCtx, QuerySpan};
 pub use timeline::{render_sparklines, render_timeline};

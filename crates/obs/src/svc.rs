@@ -1,4 +1,4 @@
-//! Service telemetry: per-query request spans and the flight recorder.
+//! Service telemetry: per-query request spans.
 //!
 //! `cm5-serve` threads a [`QueryCtx`] through each request's lifecycle —
 //! parse → advise → verify → simulate → render — and closes it into a
@@ -15,15 +15,11 @@
 //!   per query, real host timestamps (useful for eyeballing latency, never
 //!   byte-compared across runs).
 //!
-//! The [`FlightRecorder`] keeps a bounded ring of the most recent spans and
-//! dumps any query that errors or breaches a latency SLO as a deterministic
-//! `cm5-flight/1` document (span tree + raw request line, wall-clock
-//! quarantined) into a directory for post-mortem inspection.
+//! A post-mortem of one query reads its [`spans_json`] entry at that `seq`
+//! plus the same line of the replayed trace; [`spans_chrome_trace`] gives
+//! its durations.
 
 use std::collections::HashSet;
-use std::collections::VecDeque;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use crate::schema::schema_field;
@@ -94,8 +90,6 @@ pub struct QuerySpan {
     pub total_ns: u64,
     /// Child phases in execution order.
     pub phases: Vec<PhaseSpan>,
-    /// The raw request line (kept for flight-recorder dumps).
-    pub request_line: String,
 }
 
 /// Per-query span builder threaded through the service's request path.
@@ -111,7 +105,7 @@ pub struct QueryCtx {
 impl QueryCtx {
     /// Open a span for the `seq`-th query. `epoch` is the service start
     /// instant (root `ts` offsets are relative to it).
-    pub fn new(seq: u64, line: &str, epoch: Instant) -> QueryCtx {
+    pub fn new(seq: u64, epoch: Instant) -> QueryCtx {
         let t0 = Instant::now();
         QueryCtx {
             t0,
@@ -125,7 +119,6 @@ impl QueryCtx {
                 start_ns: t0.saturating_duration_since(epoch).as_nanos() as u64,
                 total_ns: 0,
                 phases: Vec::new(),
-                request_line: line.to_string(),
             },
         }
     }
@@ -205,7 +198,7 @@ fn canonical_phase_name(p: &PhaseSpan, seen: &mut HashSet<String>) -> String {
 }
 
 /// Render one query (its phases resolved against `seen`) as a single JSON
-/// object line — shared by [`spans_json`] and the flight-recorder dump.
+/// object line of [`spans_json`].
 fn query_json(span: &QuerySpan, seen: &mut HashSet<String>) -> String {
     let mut out = format!(
         "{{\"seq\": {}, \"id\": {}, \"kind\": \"{}\", \"ok\": {}",
@@ -320,131 +313,13 @@ pub fn spans_chrome_trace(spans: &[QuerySpan]) -> String {
     out
 }
 
-/// Render one span as a deterministic `cm5-flight/1` post-mortem document:
-/// the raw request line plus the span tree, wall-clock quarantined.
-///
-/// Hit/miss derivation is scoped to this one query (a tenant query that
-/// advises the same workload twice shows the second as a hit), so the dump
-/// is a pure function of the request — byte-identical at any worker count.
-pub fn flight_json(span: &QuerySpan, reason: &str) -> String {
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut out = String::from("{\n  ");
-    out.push_str(&schema_field("flight", 1));
-    out.push_str(&format!(",\n  \"reason\": \"{}\"", esc(reason)));
-    out.push_str(&format!(
-        ",\n  \"request\": \"{}\"",
-        esc(&span.request_line)
-    ));
-    out.push_str(",\n  \"span\": ");
-    out.push_str(&query_json(span, &mut seen));
-    out.push_str("\n}\n");
-    out
-}
-
-/// Bounded ring of the most recent fully-spanned queries, dumping
-/// SLO-breaching or failed queries to disk for post-mortem inspection.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    capacity: usize,
-    slo_ns: Option<u64>,
-    dir: Option<PathBuf>,
-    ring: VecDeque<QuerySpan>,
-    dropped: u64,
-    dumped: u64,
-}
-
-impl FlightRecorder {
-    /// New recorder keeping the last `capacity` spans (min 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder {
-            capacity: capacity.max(1),
-            slo_ns: None,
-            dir: None,
-            ring: VecDeque::new(),
-            dropped: 0,
-            dumped: 0,
-        }
-    }
-
-    /// Dump any query slower than `ms` milliseconds (0 dumps every query —
-    /// the deterministic-forcing mode used by tests and CI). Without an
-    /// SLO only failed queries trip the recorder.
-    pub fn slo_ms(mut self, ms: u64) -> FlightRecorder {
-        self.slo_ns = Some(ms.saturating_mul(1_000_000));
-        self
-    }
-
-    /// Directory to write `cm5-flight/1` dumps into. Without a directory
-    /// tripped queries are counted but not written.
-    pub fn dump_dir(mut self, dir: impl Into<PathBuf>) -> FlightRecorder {
-        self.dir = Some(dir.into());
-        self
-    }
-
-    /// Why a span trips the recorder, if it does.
-    fn trip_reason(&self, span: &QuerySpan) -> Option<&'static str> {
-        if !span.ok {
-            Some("error")
-        } else if self.slo_ns.is_some_and(|slo| span.total_ns >= slo) {
-            Some("slo")
-        } else {
-            None
-        }
-    }
-
-    /// Record one finished span; returns the dump path if it tripped and a
-    /// dump directory is configured.
-    ///
-    /// The dump filename is `flight_<seq>.json` and the contents are a pure
-    /// function of the request ([`flight_json`]), so observing spans in seq
-    /// order produces identical dumps at any worker count.
-    pub fn observe(&mut self, span: &QuerySpan) -> io::Result<Option<PathBuf>> {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(span.clone());
-        let Some(reason) = self.trip_reason(span) else {
-            return Ok(None);
-        };
-        self.dumped += 1;
-        let Some(dir) = &self.dir else {
-            return Ok(None);
-        };
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("flight_{:06}.json", span.seq));
-        std::fs::write(&path, flight_json(span, reason))?;
-        Ok(Some(path))
-    }
-
-    /// Spans currently held, oldest first.
-    pub fn recent(&self) -> impl Iterator<Item = &QuerySpan> {
-        self.ring.iter()
-    }
-
-    /// Spans evicted from the ring so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Queries that tripped the recorder (errors + SLO breaches).
-    pub fn dumped(&self) -> u64 {
-        self.dumped
-    }
-
-    /// The configured dump directory, if any.
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn span(seq: u64, ok: bool, key: Option<&str>) -> QuerySpan {
         let epoch = Instant::now();
-        let mut ctx = QueryCtx::new(seq, "{\"id\":1}", epoch);
+        let mut ctx = QueryCtx::new(seq, epoch);
         let t = ctx.start();
         ctx.phase(PhaseKind::Parse, "", t);
         if let Some(k) = key {
@@ -458,19 +333,30 @@ mod tests {
 
     #[test]
     fn canonical_doc_quarantines_wall_clock_and_derives_hit_miss() {
-        let spans = vec![span(0, true, Some("k1")), span(1, true, Some("k1"))];
-        let doc = spans_json(&spans);
+        let spans = || {
+            vec![
+                span(0, true, Some("k1")),
+                span(1, true, Some("k1")),
+                span(2, false, None),
+            ]
+        };
+        let doc = spans_json(&spans());
         assert!(doc.contains("\"schema\":\"cm5-serve-spans/1\""));
         assert!(doc.contains("advise-miss"));
         assert!(doc.contains("advise-hit"));
         assert!(!doc.contains("_ns"), "wall clock leaked: {doc}");
+        // A failed query carries its outcome and error string.
+        assert!(
+            doc.contains("{\"seq\": 2, \"id\": 1, \"kind\": \"exchange\", \"ok\": false, \"error\": \"boom\""),
+            "{doc}"
+        );
         // Re-spanning the same queries (different host timings) renders
         // byte-identically.
-        let again = spans_json(&[span(0, true, Some("k1")), span(1, true, Some("k1"))]);
-        assert_eq!(doc, again);
+        assert_eq!(doc, spans_json(&spans()));
         // Seq order, not input order.
-        let reversed = spans_json(&[span(1, true, Some("k1")), span(0, true, Some("k1"))]);
-        assert_eq!(doc, reversed);
+        let mut reversed = spans();
+        reversed.reverse();
+        assert_eq!(doc, spans_json(&reversed));
     }
 
     #[test]
@@ -483,38 +369,5 @@ mod tests {
         assert!(doc.contains("\"name\":\"exchange #1\""));
         assert!(doc.contains("\"name\":\"advise-miss\""));
         assert!(doc.trim_end().ends_with("]\n}"));
-    }
-
-    #[test]
-    fn flight_recorder_trips_on_error_and_slo_and_bounds_the_ring() {
-        let dir = std::env::temp_dir().join(format!("cm5_flight_test_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut fr = FlightRecorder::new(2).slo_ms(0).dump_dir(&dir);
-        for seq in 0..4 {
-            let p = fr.observe(&span(seq, seq != 3, Some("k"))).unwrap();
-            assert!(p.is_some(), "slo 0 must dump every query");
-        }
-        assert_eq!(fr.dumped(), 4);
-        assert_eq!(fr.dropped(), 2, "ring of 2 evicts the first two");
-        assert_eq!(fr.recent().count(), 2);
-        let dumped = std::fs::read_to_string(dir.join("flight_000003.json")).unwrap();
-        assert!(dumped.contains("\"schema\":\"cm5-flight/1\""));
-        assert!(dumped.contains("\"reason\": \"error\""));
-        assert!(dumped.contains("\"error\": \"boom\""));
-        assert!(dumped.contains("\"request\": \"{\\\"id\\\":1}\""));
-        // Dump contents are a pure function of the request: re-observe the
-        // same logical span and the bytes match.
-        let again = flight_json(&span(3, false, Some("k")), "error");
-        assert_eq!(dumped, again);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn recorder_without_slo_only_trips_errors() {
-        let mut fr = FlightRecorder::new(4);
-        fr.observe(&span(0, true, None)).unwrap();
-        fr.observe(&span(1, false, None)).unwrap();
-        assert_eq!(fr.dumped(), 1);
-        assert!(fr.dir().is_none());
     }
 }

@@ -113,8 +113,6 @@ pub fn replay(service: &Service, input: &str, jobs: usize, qps: Option<f64>) -> 
                 .expect("every line produced a response")
         })
         .unzip();
-    // Observe the merged spans in input order — the flight recorder's ring
-    // and dumps then match a single-worker run byte for byte.
     for span in &spans {
         service.observe(span);
     }

@@ -26,14 +26,13 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use cm5_core::prelude::*;
 use cm5_model::{Advisor, Algorithm, PatternStats, Recommendation, Workload};
-use cm5_obs::{FlightRecorder, Histogram, Metrics, PhaseKind, QueryCtx, QuerySpan};
+use cm5_obs::{Histogram, Metrics, PhaseKind, QueryCtx, QuerySpan};
 use cm5_sim::tenant::{run_tenants, Placement, TenantSpec};
 use cm5_sim::{FatTree, MachineParams, OpProgram, SimReport, Simulation};
 use cm5_verify::{exchange_policy, irregular_policy, verify_programs, verify_schedule, Severity};
@@ -54,16 +53,6 @@ pub struct ServiceConfig {
     pub params: MachineParams,
     /// Advisor-cache and verify-memo shard count (≥ 1).
     pub shards: usize,
-    /// Flight-recorder ring capacity: how many recent fully-spanned
-    /// queries are retained.
-    pub flight_capacity: usize,
-    /// Latency SLO in milliseconds: queries at or above it (or erroring)
-    /// get dumped by the flight recorder. `0` dumps every query (the
-    /// deterministic-forcing mode tests use); `None` dumps errors only.
-    pub flight_slo_ms: Option<u64>,
-    /// Directory for flight-recorder dumps (`cm5-flight/1`). `None`
-    /// records the ring without writing dumps.
-    pub flight_dir: Option<PathBuf>,
 }
 
 impl Default for ServiceConfig {
@@ -71,9 +60,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             params: MachineParams::cm5_1992(),
             shards: 8,
-            flight_capacity: 64,
-            flight_slo_ms: None,
-            flight_dir: None,
         }
     }
 }
@@ -122,9 +108,7 @@ pub struct Service {
     counters: Counters,
     predicted_ns: Mutex<Histogram>,
     sim_makespan_ns: Mutex<Histogram>,
-    spans_observed: AtomicU64,
     timing: Timing,
-    flight: Mutex<FlightRecorder>,
     /// Service start instant: span `ts` offsets and uptime are relative
     /// to it.
     epoch: Instant,
@@ -138,13 +122,6 @@ impl Service {
     /// Build a service with `config.shards` cache/memo shards.
     pub fn new(config: ServiceConfig) -> Service {
         let shards = config.shards.max(1);
-        let mut flight = FlightRecorder::new(config.flight_capacity);
-        if let Some(ms) = config.flight_slo_ms {
-            flight = flight.slo_ms(ms);
-        }
-        if let Some(dir) = config.flight_dir {
-            flight = flight.dump_dir(dir);
-        }
         Service {
             params: config.params,
             advisor: Advisor::with_shards(shards),
@@ -152,9 +129,7 @@ impl Service {
             counters: Counters::default(),
             predicted_ns: Mutex::new(Histogram::default()),
             sim_makespan_ns: Mutex::new(Histogram::default()),
-            spans_observed: AtomicU64::new(0),
             timing: Timing::default(),
-            flight: Mutex::new(flight),
             epoch: Instant::now(),
             arrival: AtomicU64::new(0),
         }
@@ -186,11 +161,11 @@ impl Service {
 
     /// [`Service::handle_line`] with an explicit span sequence number,
     /// returning the response line and the query's span tree without
-    /// observing it. The replay pool calls this from workers and observes
-    /// the spans in input order after the merge, so flight-recorder
-    /// contents and dumps are byte-identical at any worker count.
+    /// observing it. The replay pool calls this from workers and keeps
+    /// every span, so the exported span set is complete at any worker
+    /// count.
     pub fn handle_line_spanned(&self, seq: u64, line: &str) -> (String, QuerySpan) {
-        let mut ctx = QueryCtx::new(seq, line, self.epoch);
+        let mut ctx = QueryCtx::new(seq, self.epoch);
         self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let t = ctx.start();
         let parsed = Request::parse_line(line);
@@ -224,11 +199,8 @@ impl Service {
         }
     }
 
-    /// Fold one finished span into the host-timing histograms and the
-    /// flight recorder. Dump IO failures are swallowed (telemetry must
-    /// never fail a query that already succeeded).
+    /// Fold one finished span into the host-timing histograms.
     pub fn observe(&self, span: &QuerySpan) {
-        self.spans_observed.fetch_add(1, Ordering::Relaxed);
         for p in &span.phases {
             let field = match p.kind {
                 PhaseKind::Advise => Some(&self.timing.advise_ns),
@@ -245,7 +217,6 @@ impl Service {
             .lock()
             .expect("timing poisoned")
             .record(span.total_ns);
-        let _ = self.flight.lock().expect("flight poisoned").observe(span);
     }
 
     /// Answer a parsed request: the response object's fields, or an error
@@ -361,20 +332,22 @@ impl Service {
             other => return Err(format!("advisor returned non-irregular pick {other}")),
         };
         fields.push(("stats".into(), stats_json(&stats)));
-        if req.verify {
+        if req.verify || req.simulate {
             let schedule = alg.schedule(pattern);
-            fields.push((
-                "verify".into(),
-                self.verified(ctx, req, rec.algorithm.name(), || {
-                    let mut opts = irregular_policy(alg);
-                    opts.params = self.params.clone();
-                    summarize(&verify_schedule(&schedule, Some(pattern), &opts))
-                }),
-            ));
-        }
-        if req.simulate {
-            let report = self.simulate_schedule(ctx, &alg.schedule(pattern), n)?;
-            fields.push(("simulated".into(), sim_json(&report)));
+            if req.verify {
+                fields.push((
+                    "verify".into(),
+                    self.verified(ctx, req, rec.algorithm.name(), || {
+                        let mut opts = irregular_policy(alg);
+                        opts.params = self.params.clone();
+                        summarize(&verify_schedule(&schedule, Some(pattern), &opts))
+                    }),
+                ));
+            }
+            if req.simulate {
+                let report = self.simulate_schedule(ctx, &schedule, n)?;
+                fields.push(("simulated".into(), sim_json(&report)));
+            }
         }
         fields.push(("recommendation".into(), recommendation_json(&rec)));
         Ok(())
@@ -489,6 +462,9 @@ impl Service {
         schedule: &Schedule,
         n: usize,
     ) -> Result<SimReport, String> {
+        // Refuse before lowering: `simulate_programs` checks again, but an
+        // oversized schedule's lowered programs cost several times the
+        // schedule's memory.
         self.check_sim_size(n)?;
         self.simulate_programs(ctx, &lower(schedule), n)
     }
@@ -642,7 +618,7 @@ impl Service {
     /// The live-health snapshot served at `GET /metrics` and written by
     /// `--metrics-out`: the deterministic [`Service::metrics`] document
     /// plus host-side state — uptime/qps, per-phase wall-clock latency
-    /// histograms, queue depth, and flight-recorder occupancy. Unlike
+    /// histograms and queue depth. Unlike
     /// [`Service::metrics`], this snapshot contains real host timing and
     /// is never byte-compared across runs.
     pub fn live_metrics(&self) -> Metrics {
@@ -658,17 +634,6 @@ impl Service {
                 0.0
             },
         );
-        m.counters.insert(
-            "spans_observed",
-            self.spans_observed.load(Ordering::Relaxed),
-        );
-        {
-            let f = self.flight.lock().expect("flight poisoned");
-            m.counters.insert("flight_tripped", f.dumped());
-            m.counters.insert("flight_ring_evicted", f.dropped());
-            m.gauges
-                .insert("flight_ring_len", f.recent().count() as f64);
-        }
         let hist = |h: &Mutex<Histogram>| h.lock().expect("timing poisoned").clone();
         m.histograms
             .insert("advise_wall_ns", hist(&self.timing.advise_ns));
@@ -681,19 +646,6 @@ impl Service {
         m.histograms
             .insert("queue_depth", hist(&self.timing.queue_depth));
         m
-    }
-
-    /// Clone the flight recorder's ring: the last N fully-spanned queries
-    /// in arrival order. This is what interactive-mode `--spans-out` /
-    /// `--trace-out` export at shutdown (replay mode exports the complete
-    /// span set from [`crate::replay`] instead).
-    pub fn recent_spans(&self) -> Vec<QuerySpan> {
-        self.flight
-            .lock()
-            .expect("flight poisoned")
-            .recent()
-            .cloned()
-            .collect()
     }
 
     /// Record one queue-depth sample (called by the replay pool).

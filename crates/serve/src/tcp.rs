@@ -12,11 +12,14 @@
 //! * [`TcpHandle::shutdown`] is graceful: connection reads poll a shared
 //!   stop flag on a short timeout, and shutdown joins the accept loop
 //!   *and* every connection thread before returning, so callers can flush
-//!   final metrics/flight state knowing no request is still in flight.
+//!   final metrics knowing no request is still in flight.
 //!   Finished connection threads are reaped on each accept, so a
 //!   long-running listener holds handles only for live connections.
+//!
+//! A request line longer than [`MAX_LINE_BYTES`] gets one `ok:false`
+//! error line, then the connection closes.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -25,10 +28,14 @@ use std::time::Duration;
 
 use cm5_obs::prometheus_text;
 
+use crate::response::error_line;
 use crate::service::Service;
 
 /// How often blocked reads wake up to check the stop flag.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Longest request line a connection buffers (newline excluded).
+pub const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// A running TCP frontend. Dropping the handle does NOT stop the server;
 /// call [`TcpHandle::shutdown`].
@@ -43,8 +50,7 @@ pub struct TcpHandle {
 impl TcpHandle {
     /// Stop accepting connections, signal every open connection, and join
     /// the accept loop plus all connection threads. On return no request
-    /// is in flight — metrics snapshots and flight-recorder state taken
-    /// after this are final.
+    /// is in flight — metrics snapshots taken after this are final.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
@@ -105,14 +111,24 @@ fn serve_connection(service: &Service, stream: TcpStream, stop: &AtomicBool) {
         return;
     };
     let mut reader = BufReader::new(stream);
-    let mut buf = String::new();
+    let mut buf = Vec::new();
     loop {
-        // `read_line` appends, so a timeout mid-line keeps the partial
-        // data in `buf` and the retry completes it.
-        match reader.read_line(&mut buf) {
+        // `read_until` appends, so a timeout mid-line keeps the partial
+        // data in `buf` and the retry completes it. The `take` bounds
+        // `buf` at one byte past the cap.
+        let room = (MAX_LINE_BYTES + 1 - buf.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut buf) {
             Ok(0) => break,
+            Ok(_) if buf.len() > MAX_LINE_BYTES && !buf.ends_with(b"\n") => {
+                let error = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                let _ = writeln!(writer, "{}", error_line(0, &error));
+                let _ = writer.flush();
+                break;
+            }
             Ok(_) => {
-                let line = std::mem::take(&mut buf);
+                let Ok(line) = String::from_utf8(std::mem::take(&mut buf)) else {
+                    break;
+                };
                 let line = line.trim_end_matches(['\n', '\r']);
                 if line.trim().is_empty() {
                     continue;
@@ -178,7 +194,6 @@ mod tests {
     use super::*;
     use crate::json::Json;
     use crate::service::ServiceConfig;
-    use std::io::Read;
     use std::time::Instant;
 
     #[test]
@@ -205,6 +220,43 @@ mod tests {
 
         handle.shutdown();
         assert_eq!(service.metrics().counters["requests"], 2);
+    }
+
+    #[test]
+    fn overlong_lines_get_one_error_then_eof() {
+        let service = Arc::new(Service::new(ServiceConfig::default()));
+        let handle = spawn_tcp(Arc::clone(&service), "127.0.0.1:0").unwrap();
+
+        let mut conn = TcpStream::connect(handle.addr).unwrap();
+        // An uncapped server would wait for a newline forever.
+        conn.set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        let writer = {
+            let mut conn = conn.try_clone().unwrap();
+            std::thread::spawn(move || conn.write_all(&vec![b'x'; MAX_LINE_BYTES + 1]))
+        };
+        let mut response = String::new();
+        conn.read_to_string(&mut response).unwrap();
+        writer.join().unwrap().unwrap();
+        let lines: Vec<&str> = response.lines().collect();
+        assert_eq!(lines.len(), 1, "{response}");
+        let doc = Json::parse(lines[0]).unwrap();
+        assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+        assert!(doc
+            .get("error")
+            .and_then(Json::as_str)
+            .is_some_and(|e| e.contains("exceeds")));
+
+        // The listener still answers a new connection.
+        let mut conn = TcpStream::connect(handle.addr).unwrap();
+        conn.write_all(b"{\"id\":2,\"query\":{\"kind\":\"exchange\",\"n\":8,\"bytes\":64}}\n")
+            .unwrap();
+        let mut line = String::new();
+        BufReader::new(conn).read_line(&mut line).unwrap();
+        assert!(line.contains("\"ok\":true"), "{line}");
+
+        handle.shutdown();
+        assert_eq!(service.metrics().counters["requests"], 1);
     }
 
     #[test]
