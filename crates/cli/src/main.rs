@@ -1302,9 +1302,9 @@ query trace, `--replay` drives one through a worker pool and reports
 sustained queries/sec. `cm5 advise --json` prints the same
 `cm5-advise/1` document the service returns.
 Service telemetry: every query carries a request span with typed child
-phases (parse, advise-hit/miss, verify, simulate, render). Under
-`--replay`, `--spans-out` writes every query's span in the canonical
-`cm5-serve-spans/1` document (deterministic: byte-identical at any
+phases (parse, stats, advise-hit/miss, build, verify, simulate,
+render). Under `--replay`, `--spans-out` writes every query's span in
+the canonical `cm5-serve-spans/2` document (deterministic: byte-identical at any
 --jobs) and `--trace-out` the `cm5-serve-trace/1` Chrome trace (one
 track per worker). `--metrics-out` writes live JSON snapshots
 (rewritten every second under `--tcp`, final flush at shutdown; wall-
@@ -1492,7 +1492,7 @@ mod tests {
         assert_eq!(responses.lines().count(), 20);
         assert!(responses.contains("\"ok\":true"));
         let spans = std::fs::read_to_string(&spans).unwrap();
-        assert!(spans.contains("cm5-serve-spans/1"), "{spans}");
+        assert!(spans.contains("cm5-serve-spans/2"), "{spans}");
         assert_eq!(spans.matches("\"seq\"").count(), 20);
         let chrome = std::fs::read_to_string(&chrome).unwrap();
         assert!(chrome.contains("cm5-serve-trace/1"), "{chrome}");

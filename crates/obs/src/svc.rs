@@ -1,11 +1,11 @@
 //! Service telemetry: per-query request spans.
 //!
 //! `cm5-serve` threads a [`QueryCtx`] through each request's lifecycle —
-//! parse → advise → verify → simulate → render — and closes it into a
-//! [`QuerySpan`]. Two exports consume the spans:
+//! parse → stats → advise → build → verify → simulate → render — and
+//! closes it into a [`QuerySpan`]. Two exports consume the spans:
 //!
 //! * [`spans_json`] — the canonical span-tree document
-//!   (`cm5-serve-spans/1`): queries in arrival (seq) order with phase names
+//!   (`cm5-serve-spans/2`): queries in arrival (seq) order with phase names
 //!   and details only. Every wall-clock field is quarantined (omitted), and
 //!   advisor cache hit/miss is re-derived from the advise keys by first
 //!   occurrence in seq order, so the document is byte-identical at any
@@ -29,12 +29,19 @@ use crate::schema::schema_field;
 pub enum PhaseKind {
     /// Decoding the request line into a typed `Request`.
     Parse,
+    /// Pattern statistics of an `irregular`, `workload` or `pattern`
+    /// query: the stats-memo lookup plus, on a miss, the pattern build and
+    /// `PatternStats::of`. Present whether the memo hit or not.
+    Stats,
     /// An advisor recommendation (one per advised workload; tenant queries
     /// record one per tenant).
     Advise,
+    /// Building what a simulation runs (pattern, schedule or programs);
+    /// verification reuses it.
+    Build,
     /// Schedule verification (including the memo lookup).
     Verify,
-    /// Discrete-event simulation of the recommended schedule.
+    /// Lowering and discrete-event simulation of the recommended schedule.
     Simulate,
     /// Rendering the response JSON line.
     Render,
@@ -45,7 +52,9 @@ impl PhaseKind {
     pub fn name(self) -> &'static str {
         match self {
             PhaseKind::Parse => "parse",
+            PhaseKind::Stats => "stats",
             PhaseKind::Advise => "advise",
+            PhaseKind::Build => "build",
             PhaseKind::Verify => "verify",
             PhaseKind::Simulate => "simulate",
             PhaseKind::Render => "render",
@@ -131,6 +140,14 @@ impl QueryCtx {
     /// Close a phase started at `from`.
     pub fn phase(&mut self, kind: PhaseKind, detail: &str, from: Instant) {
         self.push(kind, detail, None, from);
+    }
+
+    /// Run `f` as one phase of `kind`.
+    pub fn timed<T>(&mut self, kind: PhaseKind, detail: &str, f: impl FnOnce() -> T) -> T {
+        let from = self.start();
+        let out = f();
+        self.phase(kind, detail, from);
+        out
     }
 
     /// Close an advise phase, recording the cache key the advisor used.
@@ -228,7 +245,7 @@ fn query_json(span: &QuerySpan, seen: &mut HashSet<String>) -> String {
     out
 }
 
-/// Render spans as the canonical `cm5-serve-spans/1` document.
+/// Render spans as the canonical `cm5-serve-spans/2` document.
 ///
 /// Queries are ordered by `seq` regardless of input order; wall-clock
 /// fields and worker assignment are quarantined (omitted); advisor cache
@@ -240,7 +257,7 @@ pub fn spans_json(spans: &[QuerySpan]) -> String {
     order.sort_by_key(|s| s.seq);
     let mut seen: HashSet<String> = HashSet::new();
     let mut out = String::from("{\n  ");
-    out.push_str(&schema_field("serve-spans", 1));
+    out.push_str(&schema_field("serve-spans", 2));
     out.push_str(",\n  \"queries\": [\n");
     for (i, span) in order.iter().enumerate() {
         out.push_str("    ");
@@ -341,7 +358,7 @@ mod tests {
             ]
         };
         let doc = spans_json(&spans());
-        assert!(doc.contains("\"schema\":\"cm5-serve-spans/1\""));
+        assert!(doc.contains("\"schema\":\"cm5-serve-spans/2\""));
         assert!(doc.contains("advise-miss"));
         assert!(doc.contains("advise-hit"));
         assert!(!doc.contains("_ns"), "wall clock leaked: {doc}");

@@ -9,14 +9,17 @@
 //! * **Protocol** ([`request`], [`response`], [`json`]): JSON-lines over
 //!   stdin/stdout, plus an optional std-only TCP listener ([`tcp`]). The
 //!   codec is deterministic and panic-free on hostile input.
-//! * **Service core** ([`service`]): classify with `PatternStats`, answer
-//!   via the sharded-cache [`cm5_model::Advisor`], verify the picked
-//!   schedule through a sharded memo that amortizes `cm5-verify` runs
-//!   across the queue, and simulate on request (bounded per-request work).
+//! * **Service core** ([`service`]): classify with `PatternStats` (memoized
+//!   per exact query spec, so a repeated `workload` or `irregular` query
+//!   builds no pattern), answer via the sharded-cache
+//!   [`cm5_model::Advisor`], verify the picked schedule through a sharded
+//!   memo that amortizes `cm5-verify` runs across the queue, and simulate
+//!   on request (bounded per-request work).
 //! * **Named workloads**: `workload` queries answer through
 //!   [`named_pattern`] (re-exported from `cm5-workloads`), which
 //!   triangulates each named mesh once per process and builds only the
-//!   partition and halo per query; the service itself holds no mesh state.
+//!   partition and halo when a query needs the pattern; the service itself
+//!   holds no mesh state.
 //! * **Multi-tenancy**: `tenants` queries admit concurrent partition
 //!   simulations on one shared fat tree via [`cm5_sim::tenant`] — the
 //!   root-bandwidth-contention regime the paper's dedicated machine never

@@ -11,6 +11,13 @@
 //! * a sharded verification memo that amortizes `cm5-verify` runs across
 //!   the queue the same way (the first request with a given schedule pays,
 //!   duplicates hit the memo);
+//! * a sharded stats memo from a [`PatternSpec`] (a named workload's
+//!   `(name, n)`, or an irregular query's `(n, density, bytes, seed)`) to
+//!   its `PatternStats`, so a repeated spec skips the n² pattern build and
+//!   `PatternStats::of`. The key is the exact typed spec, not a hash, and
+//!   the value is a pure function of it: racing threads build the same
+//!   stats, the entry set is the set of specs that built, and errors are
+//!   never stored;
 //! * counters that are order-independent sums ([`AtomicU64`]), and cache
 //!   *hit* counts derived as `queries − distinct entries` instead of being
 //!   counted per-request (a per-request hit/miss flag would depend on
@@ -23,6 +30,7 @@
 //! excluded from determinism comparisons — the same split the simulator
 //! makes for [`cm5_sim::SimPerf`].
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -36,7 +44,7 @@ use cm5_obs::{Histogram, Metrics, PhaseKind, QueryCtx, QuerySpan};
 use cm5_sim::tenant::{run_tenants, Placement, TenantSpec};
 use cm5_sim::{FatTree, MachineParams, OpProgram, SimReport, Simulation};
 use cm5_verify::{exchange_policy, irregular_policy, verify_programs, verify_schedule, Severity};
-use cm5_workloads::named_pattern;
+use cm5_workloads::{named_pattern, workload_name};
 
 use crate::json::Json;
 use crate::request::{Query, Request, TenantQuery};
@@ -51,7 +59,7 @@ pub const SIM_MAX_NODES: usize = 1024;
 pub struct ServiceConfig {
     /// Machine the advisor and simulator model.
     pub params: MachineParams,
-    /// Advisor-cache and verify-memo shard count (≥ 1).
+    /// Advisor-cache, verify-memo and stats-memo shard count (≥ 1).
     pub shards: usize,
 }
 
@@ -72,6 +80,64 @@ struct VerifySummary {
     warnings: usize,
 }
 
+/// The exact spec of a pattern the service builds itself: the stats-memo
+/// key. It is compared whole, never reduced to a 64-bit hash, so two specs
+/// cannot alias.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum PatternSpec {
+    /// A named application workload partitioned over `n` nodes.
+    Named { name: &'static str, n: usize },
+    /// Table 11's seeded-random generator.
+    Irregular {
+        n: usize,
+        density_bits: u64,
+        bytes: u64,
+        seed: u64,
+    },
+}
+
+impl PatternSpec {
+    fn build(self) -> Result<Pattern, String> {
+        match self {
+            PatternSpec::Named { name, n } => named_pattern(name, n),
+            PatternSpec::Irregular {
+                n,
+                density_bits,
+                bytes,
+                seed,
+            } => Ok(Pattern::seeded_random(
+                n,
+                f64::from_bits(density_bits),
+                bytes.max(1),
+                seed,
+            )),
+        }
+    }
+}
+
+/// Where a pattern query's pattern comes from when verify or simulate
+/// needs it: already built, or rebuilt from its spec after a memo hit.
+enum PatternSource {
+    Built(Pattern),
+    Spec(PatternSpec),
+}
+
+impl PatternSource {
+    fn pattern(&self) -> Result<Cow<'_, Pattern>, String> {
+        match self {
+            PatternSource::Built(p) => Ok(Cow::Borrowed(p)),
+            PatternSource::Spec(spec) => spec.build().map(Cow::Owned),
+        }
+    }
+
+    fn into_pattern(self) -> Result<Pattern, String> {
+        match self {
+            PatternSource::Built(p) => Ok(p),
+            PatternSource::Spec(spec) => spec.build(),
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct Counters {
     requests: AtomicU64,
@@ -84,6 +150,8 @@ struct Counters {
     q_workload: AtomicU64,
     q_tenants: AtomicU64,
     verify_requests: AtomicU64,
+    /// Stats-memo lookups that produced statistics (errors excluded).
+    stats_lookups: AtomicU64,
     simulations: AtomicU64,
 }
 
@@ -91,7 +159,9 @@ struct Counters {
 /// deterministic metrics document.
 #[derive(Debug, Default)]
 pub struct Timing {
+    stats_ns: Mutex<Histogram>,
     advise_ns: Mutex<Histogram>,
+    build_ns: Mutex<Histogram>,
     verify_ns: Mutex<Histogram>,
     simulate_ns: Mutex<Histogram>,
     total_ns: Mutex<Histogram>,
@@ -105,6 +175,7 @@ pub struct Service {
     params: MachineParams,
     advisor: Advisor,
     verify_memo: Vec<Mutex<HashMap<u64, VerifySummary>>>,
+    stats_memo: Vec<Mutex<HashMap<PatternSpec, PatternStats>>>,
     counters: Counters,
     predicted_ns: Mutex<Histogram>,
     sim_makespan_ns: Mutex<Histogram>,
@@ -126,6 +197,7 @@ impl Service {
             params: config.params,
             advisor: Advisor::with_shards(shards),
             verify_memo: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            stats_memo: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             counters: Counters::default(),
             predicted_ns: Mutex::new(Histogram::default()),
             sim_makespan_ns: Mutex::new(Histogram::default()),
@@ -140,7 +212,7 @@ impl Service {
         &self.params
     }
 
-    /// Shard count of the advisor cache and verify memo.
+    /// Shard count of the advisor cache and the verify and stats memos.
     pub fn shard_count(&self) -> usize {
         self.advisor.shard_count()
     }
@@ -203,7 +275,9 @@ impl Service {
     pub fn observe(&self, span: &QuerySpan) {
         for p in &span.phases {
             let field = match p.kind {
+                PhaseKind::Stats => Some(&self.timing.stats_ns),
                 PhaseKind::Advise => Some(&self.timing.advise_ns),
+                PhaseKind::Build => Some(&self.timing.build_ns),
                 PhaseKind::Verify => Some(&self.timing.verify_ns),
                 PhaseKind::Simulate => Some(&self.timing.simulate_ns),
                 PhaseKind::Parse | PhaseKind::Render => None,
@@ -224,67 +298,76 @@ impl Service {
     fn answer(&self, req: &Request, ctx: &mut QueryCtx) -> Result<Vec<(String, Json)>, String> {
         let mut fields = response_base(req.id, true);
         match &req.query {
-            Query::Exchange { n, bytes } => {
+            &Query::Exchange { n, bytes } => {
                 self.counters.q_exchange.fetch_add(1, Ordering::Relaxed);
-                let w = Workload::Exchange {
-                    n: *n,
-                    bytes: *bytes,
-                };
-                let rec = self.advise(ctx, &w, *n);
-                if req.verify {
-                    fields.push((
-                        "verify".into(),
-                        self.verify_regular(ctx, req, &rec, *n, *bytes)?,
-                    ));
-                }
-                if req.simulate {
-                    let report = self.simulate_schedule(
-                        ctx,
-                        &self.pick_exchange(&rec)?.schedule(*n, *bytes),
-                        *n,
-                    )?;
-                    fields.push(("simulated".into(), sim_json(&report)));
+                let rec = self.advise_query(ctx, req, &Workload::Exchange { n, bytes }, n)?;
+                if req.verify || req.simulate {
+                    let alg = self.pick_exchange(&rec)?;
+                    let detail = rec.algorithm.name();
+                    let schedule = req
+                        .simulate
+                        .then(|| ctx.timed(PhaseKind::Build, detail, || alg.schedule(n, bytes)));
+                    if req.verify {
+                        let v = self.verified(ctx, req, detail, || {
+                            let schedule = built_or(&schedule, || alg.schedule(n, bytes));
+                            let mut opts = exchange_policy(alg);
+                            opts.params = self.params.clone();
+                            Ok(summarize(&verify_schedule(&schedule, None, &opts)))
+                        })?;
+                        fields.push(("verify".into(), v));
+                    }
+                    if let Some(schedule) = &schedule {
+                        let report = self.simulate_schedule(ctx, schedule, n)?;
+                        fields.push(("simulated".into(), sim_json(&report)));
+                    }
                 }
                 fields.push(("recommendation".into(), recommendation_json(&rec)));
             }
-            Query::Broadcast { n, bytes } => {
+            &Query::Broadcast { n, bytes } => {
                 self.counters.q_broadcast.fetch_add(1, Ordering::Relaxed);
-                let w = Workload::Broadcast {
-                    n: *n,
-                    bytes: *bytes,
-                };
-                let rec = self.advise(ctx, &w, *n);
+                let rec = self.advise_query(ctx, req, &Workload::Broadcast { n, bytes }, n)?;
                 let alg = match rec.algorithm {
                     Algorithm::Broadcast(b) => b,
                     other => return Err(format!("advisor returned non-broadcast pick {other}")),
                 };
-                let programs = broadcast_programs(alg, *n, 0, *bytes);
+                let detail = rec.algorithm.name();
+                let programs = req.simulate.then(|| {
+                    ctx.timed(PhaseKind::Build, detail, || {
+                        broadcast_programs(alg, n, 0, bytes)
+                    })
+                });
                 if req.verify {
-                    fields.push((
-                        "verify".into(),
-                        self.verified(ctx, req, rec.algorithm.name(), || {
-                            summarize(&verify_programs(&programs))
-                        }),
-                    ));
+                    let v = self.verified(ctx, req, detail, || {
+                        let programs = built_or(&programs, || broadcast_programs(alg, n, 0, bytes));
+                        Ok(summarize(&verify_programs(&programs)))
+                    })?;
+                    fields.push(("verify".into(), v));
                 }
-                if req.simulate {
-                    let report = self.simulate_programs(ctx, &programs, *n)?;
+                if let Some(programs) = &programs {
+                    let t = ctx.start();
+                    let report = self.simulate_programs(ctx, t, programs, n)?;
                     fields.push(("simulated".into(), sim_json(&report)));
                 }
                 fields.push(("recommendation".into(), recommendation_json(&rec)));
             }
-            Query::Irregular {
+            &Query::Irregular {
                 n,
                 density,
                 bytes,
                 seed,
             } => {
                 self.counters.q_irregular.fetch_add(1, Ordering::Relaxed);
-                let pattern = Pattern::seeded_random(*n, *density, (*bytes).max(1), *seed);
-                self.answer_pattern(ctx, req, &pattern, &mut fields)?;
+                let spec = PatternSpec::Irregular {
+                    n,
+                    density_bits: density.to_bits(),
+                    bytes,
+                    seed,
+                };
+                self.answer_spec(ctx, req, spec, &mut fields)?;
             }
             Query::Pattern { text } => {
                 self.counters.q_pattern.fetch_add(1, Ordering::Relaxed);
+                let t = ctx.start();
                 let pattern = Pattern::parse_text(text)?;
                 let n = pattern.n();
                 if !(2..=crate::request::MAX_NODES).contains(&n) || !n.is_power_of_two() {
@@ -293,12 +376,17 @@ impl Service {
                         crate::request::MAX_NODES
                     ));
                 }
-                self.answer_pattern(ctx, req, &pattern, &mut fields)?;
+                let stats = PatternStats::of(&pattern, &FatTree::new(n));
+                ctx.phase(PhaseKind::Stats, &format!("n={n}"), t);
+                self.answer_pattern(ctx, req, stats, PatternSource::Built(pattern), &mut fields)?;
             }
             Query::Workload { name, n } => {
                 self.counters.q_workload.fetch_add(1, Ordering::Relaxed);
-                let pattern = named_pattern(name, *n)?;
-                self.answer_pattern(ctx, req, &pattern, &mut fields)?;
+                let spec = PatternSpec::Named {
+                    name: workload_name(name)?,
+                    n: *n,
+                };
+                self.answer_spec(ctx, req, spec, &mut fields)?;
             }
             Query::Tenants {
                 shared_n,
@@ -314,43 +402,116 @@ impl Service {
         Ok(fields)
     }
 
-    /// Classify + advise + verify + simulate an irregular pattern.
+    /// Answer a pattern query given by spec: its statistics come from the
+    /// stats memo, and its pattern is built only on a memo miss or when
+    /// verify or simulate needs it.
+    fn answer_spec(
+        &self,
+        ctx: &mut QueryCtx,
+        req: &Request,
+        spec: PatternSpec,
+        fields: &mut Vec<(String, Json)>,
+    ) -> Result<(), String> {
+        let t = ctx.start();
+        let (stats, built) = self.pattern_stats(spec)?;
+        ctx.phase(PhaseKind::Stats, &format!("n={}", stats.n), t);
+        let source = match built {
+            Some(pattern) => PatternSource::Built(pattern),
+            None => PatternSource::Spec(spec),
+        };
+        self.answer_pattern(ctx, req, stats, source, fields)
+    }
+
+    /// The statistics of `spec`, from the memo or freshly built; the
+    /// pattern too when it had to be built. Errors are not memoized.
+    fn pattern_stats(&self, spec: PatternSpec) -> Result<(PatternStats, Option<Pattern>), String> {
+        let mut h = DefaultHasher::new();
+        spec.hash(&mut h);
+        let shard = &self.stats_memo[(h.finish() % self.stats_memo.len() as u64) as usize];
+        let hit = shard.lock().expect("memo poisoned").get(&spec).cloned();
+        let (stats, built) = match hit {
+            Some(stats) => (stats, None),
+            None => {
+                // Build outside the lock: racing duplicates compute the
+                // identical pure statistics.
+                let pattern = spec.build()?;
+                let stats = PatternStats::of(&pattern, &FatTree::new(pattern.n()));
+                shard
+                    .lock()
+                    .expect("memo poisoned")
+                    .insert(spec, stats.clone());
+                (stats, Some(pattern))
+            }
+        };
+        self.counters.stats_lookups.fetch_add(1, Ordering::Relaxed);
+        Ok((stats, built))
+    }
+
+    /// Advise + verify + simulate an irregular pattern whose statistics
+    /// are known.
     fn answer_pattern(
         &self,
         ctx: &mut QueryCtx,
         req: &Request,
-        pattern: &Pattern,
+        stats: PatternStats,
+        mut source: PatternSource,
         fields: &mut Vec<(String, Json)>,
     ) -> Result<(), String> {
-        let n = pattern.n();
-        let tree = FatTree::new(n);
-        let stats = PatternStats::of(pattern, &tree);
-        let w = Workload::Irregular(stats.clone());
-        let rec = self.advise(ctx, &w, n);
+        let n = stats.n;
+        let stats_field = stats_json(&stats);
+        let rec = self.advise_query(ctx, req, &Workload::Irregular(stats), n)?;
         let alg = match rec.algorithm {
             Algorithm::Irregular(a) => a,
             other => return Err(format!("advisor returned non-irregular pick {other}")),
         };
-        fields.push(("stats".into(), stats_json(&stats)));
-        if req.verify || req.simulate {
-            let schedule = alg.schedule(pattern);
-            if req.verify {
-                fields.push((
-                    "verify".into(),
-                    self.verified(ctx, req, rec.algorithm.name(), || {
-                        let mut opts = irregular_policy(alg);
-                        opts.params = self.params.clone();
-                        summarize(&verify_schedule(&schedule, Some(pattern), &opts))
-                    }),
-                ));
-            }
-            if req.simulate {
-                let report = self.simulate_schedule(ctx, &schedule, n)?;
-                fields.push(("simulated".into(), sim_json(&report)));
-            }
+        let detail = rec.algorithm.name();
+        fields.push(("stats".into(), stats_field));
+        let schedule = if req.simulate {
+            let t = ctx.start();
+            let pattern = source.into_pattern()?;
+            let schedule = alg.schedule(&pattern);
+            ctx.phase(PhaseKind::Build, detail, t);
+            source = PatternSource::Built(pattern);
+            Some(schedule)
+        } else {
+            None
+        };
+        if req.verify {
+            let v = self.verified(ctx, req, detail, || {
+                let pattern = source.pattern()?;
+                let schedule = built_or(&schedule, || alg.schedule(&pattern));
+                let mut opts = irregular_policy(alg);
+                opts.params = self.params.clone();
+                Ok(summarize(&verify_schedule(
+                    &schedule,
+                    Some(&pattern),
+                    &opts,
+                )))
+            })?;
+            fields.push(("verify".into(), v));
+        }
+        if let Some(schedule) = &schedule {
+            let report = self.simulate_schedule(ctx, schedule, n)?;
+            fields.push(("simulated".into(), sim_json(&report)));
         }
         fields.push(("recommendation".into(), recommendation_json(&rec)));
         Ok(())
+    }
+
+    /// Advise a query's workload; then, if it asks to simulate, refuse an
+    /// oversized one before any schedule or program is built or verified.
+    fn advise_query(
+        &self,
+        ctx: &mut QueryCtx,
+        req: &Request,
+        w: &Workload,
+        n: usize,
+    ) -> Result<Recommendation, String> {
+        let rec = self.advise(ctx, w, n);
+        if req.simulate {
+            check_sim_size(n)?;
+        }
+        Ok(rec)
     }
 
     /// Advise one workload, recording the predicted time and an advise
@@ -376,23 +537,6 @@ impl Service {
         }
     }
 
-    /// Verify the recommended exchange schedule (memoized).
-    fn verify_regular(
-        &self,
-        ctx: &mut QueryCtx,
-        req: &Request,
-        rec: &Recommendation,
-        n: usize,
-        bytes: u64,
-    ) -> Result<Json, String> {
-        let alg = self.pick_exchange(rec)?;
-        Ok(self.verified(ctx, req, rec.algorithm.name(), || {
-            let mut opts = exchange_policy(alg);
-            opts.params = self.params.clone();
-            summarize(&verify_schedule(&alg.schedule(n, bytes), None, &opts))
-        }))
-    }
-
     /// Memoized verification: the first request with a given
     /// (query, algorithm) pair runs the verifier; identical queries queued
     /// behind it hit the memo, amortizing the batch. The memo key hashes
@@ -407,8 +551,8 @@ impl Service {
         ctx: &mut QueryCtx,
         req: &Request,
         alg: &str,
-        run: impl FnOnce() -> VerifySummary,
-    ) -> Json {
+        run: impl FnOnce() -> Result<VerifySummary, String>,
+    ) -> Result<Json, String> {
         let t = ctx.start();
         let json = self.verified_inner(req, alg, run);
         ctx.phase(PhaseKind::Verify, alg, t);
@@ -419,11 +563,8 @@ impl Service {
         &self,
         req: &Request,
         alg: &str,
-        run: impl FnOnce() -> VerifySummary,
-    ) -> Json {
-        self.counters
-            .verify_requests
-            .fetch_add(1, Ordering::Relaxed);
+        run: impl FnOnce() -> Result<VerifySummary, String>,
+    ) -> Result<Json, String> {
         let mut h = DefaultHasher::new();
         Request {
             id: 0,
@@ -436,52 +577,54 @@ impl Service {
         alg.hash(&mut h);
         let key = h.finish();
         let shard = &self.verify_memo[(key % self.verify_memo.len() as u64) as usize];
-        if let Some(hit) = shard.lock().expect("memo poisoned").get(&key) {
-            return verify_json(hit);
-        }
-        // Run outside the lock (same determinism argument as the advisor:
-        // racing duplicates compute the identical pure summary).
-        let summary = run();
-        let json = verify_json(&summary);
-        shard.lock().expect("memo poisoned").insert(key, summary);
-        json
+        let hit = shard
+            .lock()
+            .expect("memo poisoned")
+            .get(&key)
+            .map(verify_json);
+        let json = match hit {
+            Some(json) => json,
+            None => {
+                // Run outside the lock (same determinism argument as the
+                // advisor: racing duplicates compute the identical pure
+                // summary).
+                let summary = run()?;
+                let json = verify_json(&summary);
+                shard.lock().expect("memo poisoned").insert(key, summary);
+                json
+            }
+        };
+        self.counters
+            .verify_requests
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(json)
     }
 
-    fn check_sim_size(&self, n: usize) -> Result<(), String> {
-        if n > SIM_MAX_NODES {
-            return Err(format!(
-                "simulation is capped at {SIM_MAX_NODES} nodes per request, got {n}"
-            ));
-        }
-        Ok(())
-    }
-
+    /// Lower `schedule` and simulate it, both inside one simulate phase.
     fn simulate_schedule(
         &self,
         ctx: &mut QueryCtx,
         schedule: &Schedule,
         n: usize,
     ) -> Result<SimReport, String> {
-        // Refuse before lowering: `simulate_programs` checks again, but an
-        // oversized schedule's lowered programs cost several times the
-        // schedule's memory.
-        self.check_sim_size(n)?;
-        self.simulate_programs(ctx, &lower(schedule), n)
+        let t = ctx.start();
+        self.simulate_programs(ctx, t, &lower(schedule), n)
     }
 
+    /// Simulate `programs` on `n` nodes; the simulate phase runs from
+    /// `from`. Callers refuse `n > SIM_MAX_NODES` before building them.
     fn simulate_programs(
         &self,
         ctx: &mut QueryCtx,
+        from: Instant,
         programs: &[OpProgram],
         n: usize,
     ) -> Result<SimReport, String> {
-        self.check_sim_size(n)?;
         self.counters.simulations.fetch_add(1, Ordering::Relaxed);
-        let t = ctx.start();
         let report = Simulation::new(n, self.params.clone())
             .run_ops(programs)
             .map_err(|e| e.to_string())?;
-        ctx.phase(PhaseKind::Simulate, &format!("n={n}"), t);
+        ctx.phase(PhaseKind::Simulate, &format!("n={n}"), from);
         self.sim_makespan_ns
             .lock()
             .expect("hist poisoned")
@@ -500,7 +643,7 @@ impl Service {
         tenants: &[TenantQuery],
         fields: &mut Vec<(String, Json)>,
     ) -> Result<Json, String> {
-        self.check_sim_size(shared_n)?;
+        check_sim_size(shared_n)?;
         let mut specs = Vec::with_capacity(tenants.len());
         let mut recs = Vec::with_capacity(tenants.len());
         for t in tenants {
@@ -510,9 +653,12 @@ impl Service {
             };
             let rec = self.advise(ctx, &w, t.n);
             let alg = self.pick_exchange(&rec)?;
+            let programs = ctx.timed(PhaseKind::Build, rec.algorithm.name(), || {
+                lower(&alg.schedule(t.n, t.bytes))
+            });
             specs.push(TenantSpec {
                 name: t.name.clone(),
-                programs: lower(&alg.schedule(t.n, t.bytes)),
+                programs,
             });
             recs.push(Json::Obj(vec![
                 ("name".into(), Json::str(t.name.clone())),
@@ -529,14 +675,14 @@ impl Service {
                     match cm5_sim::tenant::TenantLayout::new(shared_n, &sizes, placement)
                         .and_then(|l| l.merge_programs(&specs))
                     {
-                        Ok(merged) => summarize(&verify_programs(&merged)),
-                        Err(_) => VerifySummary {
+                        Ok(merged) => Ok(summarize(&verify_programs(&merged))),
+                        Err(_) => Ok(VerifySummary {
                             clean: false,
                             errors: 1,
                             warnings: 0,
-                        },
+                        }),
                     }
-                }),
+                })?,
             ));
         }
         self.counters.simulations.fetch_add(1, Ordering::Relaxed);
@@ -602,6 +748,15 @@ impl Service {
         m.counters.insert("verify_memo_entries", memo_entries);
         m.counters
             .insert("verify_memo_hits", vreq.saturating_sub(memo_entries));
+        let stats_entries: u64 = self
+            .stats_memo
+            .iter()
+            .map(|s| s.lock().expect("memo poisoned").len() as u64)
+            .sum();
+        let lookups = get(&c.stats_lookups);
+        m.counters.insert("stats_memo_entries", stats_entries);
+        m.counters
+            .insert("stats_memo_hits", lookups.saturating_sub(stats_entries));
         m.gauges.insert("shards", self.shard_count() as f64);
 
         m.histograms.insert(
@@ -636,7 +791,11 @@ impl Service {
         );
         let hist = |h: &Mutex<Histogram>| h.lock().expect("timing poisoned").clone();
         m.histograms
+            .insert("stats_wall_ns", hist(&self.timing.stats_ns));
+        m.histograms
             .insert("advise_wall_ns", hist(&self.timing.advise_ns));
+        m.histograms
+            .insert("build_wall_ns", hist(&self.timing.build_ns));
         m.histograms
             .insert("verify_wall_ns", hist(&self.timing.verify_ns));
         m.histograms
@@ -655,6 +814,24 @@ impl Service {
             .lock()
             .expect("timing poisoned")
             .record(depth as u64);
+    }
+}
+
+/// Refuse a simulation above [`SIM_MAX_NODES`].
+fn check_sim_size(n: usize) -> Result<(), String> {
+    if n > SIM_MAX_NODES {
+        return Err(format!(
+            "simulation is capped at {SIM_MAX_NODES} nodes per request, got {n}"
+        ));
+    }
+    Ok(())
+}
+
+/// The value built for a simulation, or a fresh one when none was.
+fn built_or<T: Clone>(built: &Option<T>, build: impl FnOnce() -> T) -> Cow<'_, T> {
+    match built {
+        Some(v) => Cow::Borrowed(v),
+        None => Cow::Owned(build()),
     }
 }
 
@@ -809,5 +986,109 @@ mod tests {
         let out = s.handle_line(r#"{"id":3,"query":{"kind":"exchange","n":2048,"bytes":16}}"#);
         let doc = Json::parse(&out).unwrap();
         assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(true));
+    }
+
+    /// The one `ok:false` line an oversized simulation gets, at any stage.
+    const SIM_CAP_ERROR: &str =
+        "\"ok\":false,\"error\":\"simulation is capped at 1024 nodes per request, got 2048\"}";
+
+    #[test]
+    fn oversized_simulations_are_refused_before_building_or_verifying() {
+        let s = service();
+        for (id, query) in [
+            (1, r#"{"kind":"exchange","n":2048,"bytes":65536}"#),
+            (
+                2,
+                r#"{"kind":"irregular","n":2048,"density":0.25,"bytes":256,"seed":3}"#,
+            ),
+        ] {
+            let line = format!(r#"{{"id":{id},"query":{query},"verify":true,"simulate":true}}"#);
+            let out = s.handle_line(&line);
+            assert_eq!(
+                out,
+                format!("{{\"schema\":\"cm5-serve/1\",\"id\":{id},{SIM_CAP_ERROR}")
+            );
+        }
+        let m = s.metrics();
+        // Both were advised, but nothing was verified or simulated.
+        assert_eq!(m.counters["advisor_queries"], 2);
+        assert_eq!(m.counters["verify_requests"], 0);
+        assert_eq!(m.counters["verify_memo_entries"], 0);
+        assert_eq!(m.counters["simulations"], 0);
+    }
+
+    #[test]
+    fn repeated_specs_answer_from_the_stats_memo_byte_identically() {
+        let lines = [
+            r#"{"id":1,"query":{"kind":"workload","name":"euler545","n":16}}"#,
+            r#"{"id":2,"query":{"kind":"irregular","n":32,"density":0.25,"bytes":256,"seed":7}}"#,
+            r#"{"id":3,"query":{"kind":"workload","name":"euler545","n":8},"verify":true,"simulate":true}"#,
+            r#"{"id":4,"query":{"kind":"irregular","n":16,"density":0.5,"bytes":64,"seed":9},"verify":true}"#,
+        ];
+        let s = service();
+        let first: Vec<String> = lines.iter().map(|l| s.handle_line(l)).collect();
+        for (line, answer) in lines.iter().zip(&first) {
+            assert!(answer.contains("\"ok\":true"), "{answer}");
+            assert_eq!(&s.handle_line(line), answer, "repeat of {line}");
+            assert_eq!(
+                &service().handle_line(line),
+                answer,
+                "fresh service, {line}"
+            );
+        }
+        let m = s.metrics();
+        assert_eq!(m.counters["stats_memo_entries"], 4);
+        assert_eq!(m.counters["stats_memo_hits"], 4);
+    }
+
+    #[test]
+    fn stats_memo_counters_do_not_depend_on_shard_count() {
+        let lines = [
+            r#"{"id":1,"query":{"kind":"workload","name":"euler545","n":16}}"#,
+            r#"{"id":2,"query":{"kind":"workload","name":"euler545","n":32}}"#,
+            r#"{"id":3,"query":{"kind":"workload","name":"euler545","n":16}}"#,
+            r#"{"id":4,"query":{"kind":"irregular","n":8,"seed":1}}"#,
+            r#"{"id":5,"query":{"kind":"irregular","n":8,"seed":1}}"#,
+            r#"{"id":6,"query":{"kind":"irregular","n":8,"seed":2}}"#,
+        ];
+        let docs: Vec<String> = [1, 3, 8, 64]
+            .into_iter()
+            .map(|shards| {
+                let s = Service::new(ServiceConfig {
+                    shards,
+                    ..ServiceConfig::default()
+                });
+                for line in lines {
+                    s.handle_line(line);
+                }
+                let m = s.metrics();
+                assert_eq!(m.counters["stats_memo_entries"], 4, "shards={shards}");
+                assert_eq!(m.counters["stats_memo_hits"], 2, "shards={shards}");
+                let mut m = m;
+                m.gauges.remove("shards");
+                m.to_json()
+            })
+            .collect();
+        assert!(docs.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn erroring_specs_error_on_every_repeat_and_are_not_memoized() {
+        let s = service();
+        for line in [
+            r#"{"id":1,"query":{"kind":"workload","name":"nope","n":16}}"#,
+            r#"{"id":2,"query":{"kind":"workload","name":"euler545","n":1024}}"#,
+        ] {
+            let first = s.handle_line(line);
+            assert!(first.contains("\"ok\":false"), "{first}");
+            for _ in 0..2 {
+                assert_eq!(s.handle_line(line), first);
+            }
+            assert_eq!(service().handle_line(line), first);
+        }
+        let m = s.metrics();
+        assert_eq!(m.counters["responses_error"], 6);
+        assert_eq!(m.counters["stats_memo_entries"], 0);
+        assert_eq!(m.counters["stats_memo_hits"], 0);
     }
 }

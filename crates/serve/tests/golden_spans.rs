@@ -1,5 +1,5 @@
-//! Golden test: the canonical span-tree export (`cm5-serve-spans/1`) for
-//! one advise+verify+simulate query is pinned byte for byte.
+//! Golden test: the canonical span-tree export (`cm5-serve-spans/2`) for
+//! advise+verify+simulate queries is pinned byte for byte.
 //!
 //! The canonical export strips every wall-clock field (durations live only
 //! in the Chrome-trace view, which is quarantined like the live metrics
@@ -17,19 +17,30 @@ use cm5_serve::{Service, ServiceConfig};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/query_spans.json");
 
-/// Two queries sharing one advise key: the first records `advise-miss`,
-/// the second `advise-hit`, and both run verify + simulate.
+/// Two exchange queries sharing one advise key, then two workload queries
+/// sharing one pattern spec: in each pair the first records `advise-miss`
+/// and the second `advise-hit`, and all four run verify + simulate. The
+/// second workload query hits the stats memo, yet its span has the same
+/// phases as the first.
 fn spanned_queries() -> String {
     let service = Service::new(ServiceConfig::default());
-    let line =
-        r#"{"id":1,"query":{"kind":"exchange","n":8,"bytes":256},"verify":true,"simulate":true}"#;
-    let repeat =
-        r#"{"id":2,"query":{"kind":"exchange","n":8,"bytes":256},"verify":true,"simulate":true}"#;
-    let (resp, span0) = service.handle_line_spanned(0, line);
-    assert!(resp.contains("\"ok\":true"), "{resp}");
-    let (resp, span1) = service.handle_line_spanned(1, repeat);
-    assert!(resp.contains("\"ok\":true"), "{resp}");
-    spans_json(&[span0, span1])
+    let lines = [
+        r#"{"id":1,"query":{"kind":"exchange","n":8,"bytes":256},"verify":true,"simulate":true}"#,
+        r#"{"id":2,"query":{"kind":"exchange","n":8,"bytes":256},"verify":true,"simulate":true}"#,
+        r#"{"id":3,"query":{"kind":"workload","name":"euler545","n":8},"verify":true,"simulate":true}"#,
+        r#"{"id":4,"query":{"kind":"workload","name":"euler545","n":8},"verify":true,"simulate":true}"#,
+    ];
+    let spans: Vec<_> = lines
+        .iter()
+        .enumerate()
+        .map(|(seq, line)| {
+            let (resp, span) = service.handle_line_spanned(seq as u64, line);
+            assert!(resp.contains("\"ok\":true"), "{resp}");
+            span
+        })
+        .collect();
+    assert_eq!(service.metrics().counters["stats_memo_hits"], 1);
+    spans_json(&spans)
 }
 
 #[test]
@@ -57,8 +68,10 @@ fn golden_covers_every_phase_kind_and_both_cache_outcomes() {
     let json = spanned_queries();
     for phase in [
         "parse",
+        "stats",
         "advise-miss",
         "advise-hit",
+        "build",
         "verify",
         "simulate",
         "render",

@@ -40,5 +40,7 @@ pub use euler::{
 };
 pub use fft::{dft_naive, distributed_fft2d, fft2d_programs, fft2d_seq, fft_inplace, C64};
 pub use inspector::{execute_gather, CommPlan, Distribution, Inspector};
-pub use named::{mesh_graph, named_pattern, MeshGraph, NamedWorkload, NAMED_WORKLOADS};
+pub use named::{
+    mesh_graph, named_pattern, workload_name, MeshGraph, NamedWorkload, NAMED_WORKLOADS,
+};
 pub use synthetic::{synthetic_pattern, synthetic_pattern_exact};

@@ -129,10 +129,7 @@ fn graph_at(i: usize) -> &'static MeshGraph {
 /// The memoized mesh graph of a named workload, built on first use;
 /// `None` for an unknown name.
 pub fn mesh_graph(name: &str) -> Option<&'static MeshGraph> {
-    NAMED_WORKLOADS
-        .iter()
-        .position(|w| w.name == name)
-        .map(graph_at)
+    index_of(name).ok().map(graph_at)
 }
 
 /// The `cg` mesh graph (memoized).
@@ -152,16 +149,24 @@ pub(crate) fn euler_graph(vertices: usize) -> Cow<'static, MeshGraph> {
     }
 }
 
+fn index_of(name: &str) -> Result<usize, String> {
+    NAMED_WORKLOADS
+        .iter()
+        .position(|w| w.name == name)
+        .ok_or_else(|| format!("unknown workload '{name}' (cg|euler545|euler2k|euler3k|euler9k)"))
+}
+
+/// The table's own `'static` spelling of named workload `name`, or the
+/// error [`named_pattern`] gives for an unknown name.
+pub fn workload_name(name: &str) -> Result<&'static str, String> {
+    index_of(name).map(|i| NAMED_WORKLOADS[i].name)
+}
+
 /// The communication pattern of named workload `name` partitioned over
 /// `n` nodes: the pattern `cm5 workload`, `cm5 advise irregular --name`
 /// and serve `workload` queries answer for.
 pub fn named_pattern(name: &str, n: usize) -> Result<Pattern, String> {
-    let i = NAMED_WORKLOADS
-        .iter()
-        .position(|w| w.name == name)
-        .ok_or_else(|| {
-            format!("unknown workload '{name}' (cg|euler545|euler2k|euler3k|euler9k)")
-        })?;
+    let i = index_of(name)?;
     let workload = &NAMED_WORKLOADS[i];
     // A pattern spans at least two nodes, and each workload partitions a
     // fixed mesh, so `n` may not exceed its vertex count.
